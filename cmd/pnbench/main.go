@@ -9,16 +9,7 @@
 //	pnbench -shadow out/ -max-disabled-overhead 1.5   # sanitizer micro-bench -> out/BENCH_SHADOW.json
 //	pnbench -foundry out/ -foundry-seed 42 -foundry-count 200   # triage bench -> out/BENCH_FOUNDRY.json
 //	pnbench -compile out/ -min-speedup 5.0   # compiled-vs-interpreted bench -> out/BENCH_COMPILE.json + PROGRAMS.txt
-//	pnbench -trajectory BENCH_TRAJECTORY.json -bench-dir out/ -commit $SHA
 //	pnbench -list
-//
-// -trajectory harvests the key scalars out of whichever benchmark
-// artifacts exist in -bench-dir (BENCH_MEM.json, BENCH_SHADOW.json,
-// BENCH_SERVE.json, BENCH_TENANT.json, BENCH_COMPILE.json), appends
-// them as one
-// schema-versioned row, and fails when a gated metric regresses more
-// than -max-regression past the rolling median of the last five rows
-// (metrics with fewer than three prior samples auto-pass).
 //
 // With -json DIR each selected experiment additionally runs under full
 // observability instrumentation (see internal/obs) and writes a
@@ -81,14 +72,6 @@ func run(args []string, out io.Writer) error {
 		"with -shadow: fail if the disabled (nil-checker) write path exceeds this multiple of the no-seam baseline")
 	maxArmedOverhead := fs.Float64("max-armed-overhead", 0,
 		"with -shadow: fail if the armed clean write path exceeds this multiple of the no-seam baseline")
-	trajectory := fs.String("trajectory", "",
-		"append the current benchmark artifacts' key metrics as one row of this trajectory file and gate on regression vs the rolling median")
-	benchDir := fs.String("bench-dir", ".",
-		"with -trajectory: directory holding BENCH_MEM/SHADOW/SERVE/TENANT.json")
-	commit := fs.String("commit", "unknown", "with -trajectory: commit SHA recorded in the row")
-	date := fs.String("date", "", "with -trajectory: date recorded in the row (default today UTC)")
-	maxRegression := fs.Float64("max-regression", 0.25,
-		"with -trajectory: allowed fractional slip from the rolling median before the gate fails")
 	list := fs.Bool("list", false, "list experiments")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -97,13 +80,6 @@ func run(args []string, out io.Writer) error {
 	if *list {
 		fmt.Fprint(out, experiments.ListTable().String())
 		return nil
-	}
-	if *trajectory != "" {
-		d := *date
-		if d == "" {
-			d = time.Now().UTC().Format("2006-01-02")
-		}
-		return runTrajectory(out, *trajectory, *benchDir, *commit, d, *maxRegression)
 	}
 	if *memDir != "" {
 		return runMemBench(*memDir, *minCowSpeedup, out)
@@ -139,7 +115,7 @@ func run(args []string, out io.Writer) error {
 			err error
 		)
 		if *jsonDir == "" {
-			t, err = e.Run()
+			t, err = e.Run(experiments.Instrument{})
 		} else {
 			t, err = runAndDump(e, *jsonDir)
 		}
@@ -164,8 +140,9 @@ func run(args []string, out io.Writer) error {
 // runAndDump runs e instrumented, writes dir/BENCH_<ID>.json, and
 // returns the experiment's table for the usual rendering.
 func runAndDump(e experiments.Experiment, dir string) (*report.Table, error) {
+	col := obs.NewCollector()
 	start := time.Now()
-	col, t, err := experiments.RunInstrumented(e)
+	t, err := experiments.RunInstrumented(e, experiments.Instrument{Collector: col})
 	elapsed := time.Since(start)
 	if err != nil {
 		return t, err

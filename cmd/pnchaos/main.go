@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) error {
 		SkipReplayCheck: *noVerify,
 	}
 
-	rep, err := experiments.RunChaosCampaign(cfg)
+	rep, err := experiments.RunChaosCampaign(cfg, experiments.Instrument{})
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		t, err := e.Run()
+		t, err := e.Run(experiments.Instrument{})
 		if err != nil {
 			return err
 		}

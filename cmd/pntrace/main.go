@@ -86,36 +86,19 @@ func run(args []string, out io.Writer) error {
 	// Build the collector and, when requested, a chaos overlay whose
 	// schedule continues across every process the experiment builds.
 	col := obs.NewCollector()
-	var inj *chaos.Injector
+	in := experiments.Instrument{Collector: col}
 	if *chaosProb > 0 {
-		inj = chaos.New(chaos.Config{
+		inj := chaos.New(chaos.Config{
 			Seed:     *seed,
 			Prob:     *chaosProb,
 			Kinds:    kinds,
 			OnInject: col.ChaosHook(),
 		})
+		in.OnProcess = func(p *machine.Process) { inj.Arm(p.Mem) }
 	}
-	prevSeam := machine.OnNewProcess
-	machine.OnNewProcess = func(p *machine.Process) {
-		col.ObserveProcess(p)
-		if inj != nil {
-			inj.Arm(p.Mem)
-		}
-	}
-	defer func() { machine.OnNewProcess = prevSeam }()
-	restoreExp := experiments.SetCollector(col)
-	defer restoreExp()
-
-	root := col.Tracer.Start(obs.CatExperiment, e.ID,
-		obs.A("ref", e.Ref), obs.A("title", e.Title),
+	table, runErr := experiments.RunInstrumented(e, in,
 		obs.AInt("seed", *seed),
 		obs.A("chaos", fmt.Sprintf("prob=%g kinds=%s", *chaosProb, chaos.KindNames(kinds))))
-	table, runErr := e.Run()
-	if runErr != nil {
-		root.SetAttr("error", runErr.Error())
-	}
-	root.Close()
-	col.Finalize()
 
 	if err := emit(out, *dir, col, table); err != nil {
 		return err

@@ -41,13 +41,10 @@ type RouterConfig struct {
 	TenantRate  float64
 	TenantBurst float64
 	P99Target   time.Duration
-	// RetryAfter is the fallback backoff hint on shed responses
-	// (default 250ms).
-	RetryAfter time.Duration
-	// TraceIndexCap bounds the trace-to-worker index behind /trace/{id}
-	// (default 512).
-	TraceIndexCap int
 }
+
+// traceIndexCap bounds the trace-to-worker index behind /trace/{id}.
+const traceIndexCap = 512
 
 func (c RouterConfig) withDefaults() RouterConfig {
 	if c.ForwardTimeout <= 0 {
@@ -55,12 +52,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.ForwardRetries <= 0 {
 		c.ForwardRetries = 2
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 250 * time.Millisecond
-	}
-	if c.TraceIndexCap <= 0 {
-		c.TraceIndexCap = 512
 	}
 	return c
 }
@@ -238,7 +229,7 @@ func (rt *Router) routeRun(ctx context.Context, req service.Request, tenant, cli
 	now := time.Now()
 	if !rt.limiter.TryAcquire() {
 		rt.quotas.Refund(tenant)
-		return rt.shed(service.ReasonLimiter, tenant, lane, rt.limiter.RetryAfter(now, rt.cfg.RetryAfter))
+		return rt.shed(service.ReasonLimiter, tenant, lane, rt.limiter.RetryAfter(now, service.ShedRetryAfter))
 	}
 
 	var out *routed
@@ -332,7 +323,7 @@ func (rt *Router) forwardRun(ctx context.Context, req service.Request, key, tena
 		if owner == "" {
 			return routedError(http.StatusServiceUnavailable, "router: no healthy workers",
 				&service.Rejection{Code: 503, Reason: service.ReasonDraining, Tenant: tenant,
-					RetryAfterMS: rt.cfg.RetryAfter.Milliseconds()})
+					RetryAfterMS: service.ShedRetryAfter.Milliseconds()})
 		}
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/run", bytes.NewReader(body))
 		if err != nil {
@@ -415,7 +406,7 @@ func (rt *Router) recordTrace(e *traceEntry) {
 	defer rt.tmu.Unlock()
 	if _, ok := rt.traceIndex[e.id]; !ok {
 		rt.traceOrder = append(rt.traceOrder, e.id)
-		for len(rt.traceOrder) > rt.cfg.TraceIndexCap {
+		for len(rt.traceOrder) > traceIndexCap {
 			delete(rt.traceIndex, rt.traceOrder[0])
 			rt.traceOrder = rt.traceOrder[1:]
 		}

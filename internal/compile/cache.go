@@ -108,8 +108,8 @@ func (c *Cache) remove(e *centry) {
 }
 
 // Evict drops up to n least-recently-used entries and reports how many
-// were dropped — the rebalance hook the serving tier calls when a
-// worker's shard assignment shrinks.
+// were dropped. Only tests call it, to evict entries while replays are
+// in flight.
 func (c *Cache) Evict(n int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

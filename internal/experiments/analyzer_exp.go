@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/core"
+	"repro/internal/defense"
 	"repro/internal/layout"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -18,7 +19,7 @@ import (
 // runE16 compares the placement-new analyzer against the traditional
 // baseline scanner over the listing corpus — reproducing the paper's §1
 // claim that existing tools detect none of these vulnerabilities.
-func runE16() (*report.Table, error) {
+func runE16(Instrument) (*report.Table, error) {
 	t := report.NewTable("E16 — §1/§5.1/§7: static analyzer vs traditional scanner on the listing corpus",
 		"program (paper ref)", "vulnerable", "analyzer findings", "baseline findings")
 	var vulnTotal, analyzerHits, baselineHits int
@@ -64,7 +65,7 @@ func runE16() (*report.Table, error) {
 
 // runE17 measures per-operation overhead of the §5.1/§5.2 defenses with
 // wall-clock loops (bench_test.go provides the testing.B versions).
-func runE17() (*report.Table, error) {
+func runE17(in Instrument) (*report.Table, error) {
 	t := report.NewTable("E17 — §5.1: defense overhead microbenchmarks",
 		"operation", "ns/op", "relative")
 
@@ -110,8 +111,8 @@ func runE17() (*report.Table, error) {
 		return nil, err
 	}
 
-	callCost := func(opts machine.Options) (float64, error) {
-		p, err := machine.New(opts)
+	callCost := func(cfg defense.Config) (float64, error) {
+		p, err := in.config(cfg).NewProcess()
 		if err != nil {
 			return 0, err
 		}
@@ -121,15 +122,15 @@ func runE17() (*report.Table, error) {
 		}
 		return timeOp(iters, func() error { return p.Call("f") })
 	}
-	plain, err := callCost(machine.Options{})
+	plain, err := callCost(defense.NXOnly)
 	if err != nil {
 		return nil, err
 	}
-	canary, err := callCost(machine.Options{StackGuard: true})
+	canary, err := callCost(defense.Config{NXStack: true, StackGuard: true})
 	if err != nil {
 		return nil, err
 	}
-	shadow, err := callCost(machine.Options{ShadowStack: true})
+	shadow, err := callCost(defense.Config{NXStack: true, ShadowStack: true})
 	if err != nil {
 		return nil, err
 	}

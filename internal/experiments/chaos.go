@@ -180,8 +180,9 @@ func resolveDefenses(names []string) ([]defense.Config, error) {
 // a derived deterministic fault schedule. Crashed attempts are rolled
 // back to the pre-run checkpoint (and the rollback verified against the
 // whole-image diff) before retrying; jobs that exhaust their retries
-// degrade to "dead" cells rather than failing the campaign.
-func RunChaosCampaign(cfg ChaosConfig) (*ChaosReport, error) {
+// degrade to "dead" cells rather than failing the campaign. in reaches
+// every process, supervised attempt and injected fault.
+func RunChaosCampaign(cfg ChaosConfig, in Instrument) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
 	scenarios, err := resolveScenarios(cfg.Scenarios)
 	if err != nil {
@@ -206,7 +207,7 @@ func RunChaosCampaign(cfg ChaosConfig) (*ChaosReport, error) {
 
 	var lastResults []*resilience.Result
 	for r := 0; r < cfg.Runs; r++ {
-		runRep, results, err := executeChaosRun(cfg, r, scenarios, defenses)
+		runRep, results, err := executeChaosRun(cfg, in, r, scenarios, defenses)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +221,7 @@ func RunChaosCampaign(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 
 	if !cfg.SkipReplayCheck && len(rep.RunReports) > 0 {
-		replay, _, err := executeChaosRun(cfg, 0, scenarios, defenses)
+		replay, _, err := executeChaosRun(cfg, in, 0, scenarios, defenses)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos replay check: %w", err)
 		}
@@ -243,7 +244,7 @@ func RunChaosCampaign(cfg ChaosConfig) (*ChaosReport, error) {
 // executeChaosRun replays the matrix once under run index r's derived
 // schedules and returns the run report plus the raw supervised results
 // (for the degraded partial table).
-func executeChaosRun(cfg ChaosConfig, r int, scenarios []attack.Scenario, defenses []defense.Config) (ChaosRunReport, []*resilience.Result, error) {
+func executeChaosRun(cfg ChaosConfig, in Instrument, r int, scenarios []attack.Scenario, defenses []defense.Config) (ChaosRunReport, []*resilience.Result, error) {
 	pol := resilience.Policy{
 		Timeout:          cfg.Timeout,
 		MaxAttempts:      cfg.MaxAttempts,
@@ -252,18 +253,17 @@ func executeChaosRun(cfg ChaosConfig, r int, scenarios []attack.Scenario, defens
 		// the campaign without changing its deterministic outcome.
 		Backoff: 0,
 	}
-	// When a collector is active (pntrace), supervised attempts become
-	// retry spans and crash counters. Observation is passive: it does
-	// not perturb the campaign's deterministic schedule or digests.
-	if col := activeCollector; col != nil {
-		pol.Observer = col
+	// With a collector, supervised attempts become retry spans and
+	// crash counters.
+	if in.Collector != nil {
+		pol.Observer = in.Collector
 	}
 	sup := resilience.NewSupervisor(pol)
 	runRep := ChaosRunReport{Run: r}
 
 	for _, s := range scenarios {
 		for _, d := range defenses {
-			cell, err := runChaosCell(cfg, sup, r, s, d)
+			cell, err := runChaosCell(cfg, in, sup, r, s, d)
 			if err != nil {
 				return ChaosRunReport{}, nil, err
 			}
@@ -287,9 +287,9 @@ func executeChaosRun(cfg ChaosConfig, r int, scenarios []attack.Scenario, defens
 }
 
 // runChaosCell executes one supervised (scenario, defense) job.
-func runChaosCell(cfg ChaosConfig, sup *resilience.Supervisor, r int, s attack.Scenario, d defense.Config) (ChaosCell, error) {
+func runChaosCell(cfg ChaosConfig, in Instrument, sup *resilience.Supervisor, r int, s attack.Scenario, d defense.Config) (ChaosCell, error) {
 	jobID := s.ID + "/" + d.Name
-	ccfg := chaos.Config{
+	inj := chaos.New(chaos.Config{
 		Seed:      chaos.DeriveSeed(cfg.Seed, strconv.Itoa(r), s.ID, d.Name),
 		Prob:      cfg.Prob,
 		Kinds:     cfg.Kinds,
@@ -298,11 +298,8 @@ func runChaosCell(cfg ChaosConfig, sup *resilience.Supervisor, r int, s attack.S
 		// signals (panics): the supervisor, not the scenario, must
 		// catch them — exactly the SIGSEGV -> core dump path.
 		PanicOnFault: true,
-	}
-	if col := activeCollector; col != nil {
-		ccfg.OnInject = col.ChaosHook()
-	}
-	inj := chaos.New(ccfg)
+		OnInject:     in.Collector.ChaosHook(),
+	})
 
 	// The scenario builds its own process(es); the OnProcess seam
 	// captures each one, arms the injector on it, and checkpoints the
@@ -323,6 +320,7 @@ func runChaosCell(cfg ChaosConfig, sup *resilience.Supervisor, r int, s attack.S
 		mu.Unlock()
 		inj.Arm(p.Mem)
 	}
+	dcfg = in.config(dcfg)
 
 	job := resilience.Job{
 		ID: jobID,
@@ -383,11 +381,11 @@ var e19Scenarios = []string{
 	"array-2step-stack", "infoleak-array", "memleak",
 }
 
-func runE19() (*report.Table, error) {
+func runE19(in Instrument) (*report.Table, error) {
 	rep, err := RunChaosCampaign(ChaosConfig{
 		Seed: 42, Runs: 2, Prob: 0.004,
 		Scenarios: e19Scenarios,
-	})
+	}, in)
 	if err != nil {
 		return nil, err
 	}

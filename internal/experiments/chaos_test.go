@@ -19,11 +19,11 @@ func quickChaos() ChaosConfig {
 }
 
 func TestChaosCampaignDeterministic(t *testing.T) {
-	a, err := RunChaosCampaign(quickChaos())
+	a, err := RunChaosCampaign(quickChaos(), Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChaosCampaign(quickChaos())
+	b, err := RunChaosCampaign(quickChaos(), Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestChaosCampaignDeterministic(t *testing.T) {
 	// A different seed must actually change the campaign.
 	cfg := quickChaos()
 	cfg.Seed = 43
-	c, err := RunChaosCampaign(cfg)
+	c, err := RunChaosCampaign(cfg, Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestChaosCampaignDeterministic(t *testing.T) {
 func TestChaosCampaignInjectsAndRecovers(t *testing.T) {
 	cfg := quickChaos()
 	cfg.Prob = 0.02 // enough pressure to guarantee crashes
-	rep, err := RunChaosCampaign(cfg)
+	rep, err := RunChaosCampaign(cfg, Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestChaosCampaignGracefulDegradation(t *testing.T) {
 	cfg.MaxFaultsPerJob = -1 // unlimited
 	cfg.BreakerThreshold = 1000
 	cfg.SkipReplayCheck = true
-	rep, err := RunChaosCampaign(cfg)
+	rep, err := RunChaosCampaign(cfg, Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestChaosCampaignBreaker(t *testing.T) {
 		SkipReplayCheck:  true,
 		Scenarios:        []string{"bss-overflow", "stack-ret", "heap-overflow", "funcptr"},
 		Defenses:         []string{"none"},
-	})
+	}, Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +154,10 @@ func TestChaosCampaignBreaker(t *testing.T) {
 }
 
 func TestChaosCampaignUnknownInputs(t *testing.T) {
-	if _, err := RunChaosCampaign(ChaosConfig{Scenarios: []string{"no-such"}}); err == nil {
+	if _, err := RunChaosCampaign(ChaosConfig{Scenarios: []string{"no-such"}}, Instrument{}); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	if _, err := RunChaosCampaign(ChaosConfig{Defenses: []string{"no-such"}}); err == nil {
+	if _, err := RunChaosCampaign(ChaosConfig{Defenses: []string{"no-such"}}, Instrument{}); err == nil {
 		t.Error("unknown defense accepted")
 	}
 }
@@ -166,7 +166,7 @@ func TestE19Table(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is slow in -short mode")
 	}
-	tb, err := runE19()
+	tb, err := runE19(Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}

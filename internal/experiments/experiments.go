@@ -13,15 +13,17 @@ import (
 	"repro/internal/attack"
 	"repro/internal/defense"
 	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
-// Experiment is one reproducible evaluation unit.
+// Experiment is one reproducible evaluation unit; Run takes its
+// instrumentation (Instrument{} for a plain run).
 type Experiment struct {
 	ID    string
 	Ref   string
 	Title string
-	Run   func() (*report.Table, error)
+	Run   func(Instrument) (*report.Table, error)
 }
 
 // All returns the experiments in index order.
@@ -53,7 +55,7 @@ func All() []Experiment {
 // evaluated a 32-bit gcc testbed; here key attacks run unchanged across
 // three data models, with the leak arithmetic shifting exactly as the
 // layouts do.
-func runE18() (*report.Table, error) {
+func runE18(in Instrument) (*report.Table, error) {
 	models := []layout.Model{layout.ILP32i386, layout.ILP32, layout.LP64}
 	headers := []string{"scenario"}
 	for _, m := range models {
@@ -65,7 +67,7 @@ func runE18() (*report.Table, error) {
 		row := []string{id}
 		for _, m := range models {
 			cfg := defense.Config{Name: "none-" + m.Name, Model: m}
-			o, err := run(id, cfg)
+			o, err := run(in, id, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -124,14 +126,16 @@ func ListTable() *report.Table {
 	return t
 }
 
-func run(id string, cfg defense.Config) (*attack.Outcome, error) {
+func run(in Instrument, id string, cfg defense.Config) (*attack.Outcome, error) {
 	s, err := attack.ByID(id)
 	if err != nil {
 		return nil, err
 	}
-	done := scenarioSpan(id, cfg)
-	defer done()
-	return s.Run(cfg)
+	if in.Collector != nil {
+		sp := in.Collector.Tracer.Start(obs.CatScenario, id, obs.A("defense", cfg.Name))
+		defer sp.Close()
+	}
+	return s.Run(in.config(cfg))
 }
 
 func fmtMetric(o *attack.Outcome, key string) string {
@@ -149,8 +153,8 @@ func yesNo(b bool) string {
 	return "no"
 }
 
-func runE1() (*report.Table, error) {
-	o, err := run("bss-overflow", defense.None)
+func runE1(in Instrument) (*report.Table, error) {
+	o, err := run(in, "bss-overflow", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -162,8 +166,8 @@ func runE1() (*report.Table, error) {
 	return t, nil
 }
 
-func runE2() (*report.Table, error) {
-	o, err := run("heap-overflow", defense.None)
+func runE2(in Instrument) (*report.Table, error) {
+	o, err := run(in, "heap-overflow", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +178,7 @@ func runE2() (*report.Table, error) {
 	return t, nil
 }
 
-func runE3() (*report.Table, error) {
+func runE3(in Instrument) (*report.Table, error) {
 	t := report.NewTable("E3 — §3.6.1 Listing 13: which ssn[i] hits the return address",
 		"frame configuration", "paper index", "measured index", "outcome")
 	cases := []struct {
@@ -187,13 +191,13 @@ func runE3() (*report.Table, error) {
 		{"saved FP + canary", defense.StackGuardOnly, "ssn[2]"},
 	}
 	for _, c := range cases {
-		o, err := run("stack-ret", c.cfg)
+		o, err := run(in, "stack-ret", c.cfg)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(c.name, c.paper, "ssn["+fmtMetric(o, "ret_ssn_index")+"]", o.Status())
 	}
-	o, err := run("canary-skip", defense.StackGuardOnly)
+	o, err := run(in, "canary-skip", defense.StackGuardOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -201,25 +205,25 @@ func runE3() (*report.Table, error) {
 	return t, nil
 }
 
-func runE4() (*report.Table, error) {
+func runE4(in Instrument) (*report.Table, error) {
 	t := report.NewTable("E4 — §3.6.2: arc injection and code injection",
 		"attack", "stack", "paper", "measured")
-	o, err := run("arc-injection", defense.None)
+	o, err := run(in, "arc-injection", defense.None)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("arc injection (ret2libc)", "any", "privileged call", o.Status())
-	o, err = run("code-injection", defense.None)
+	o, err = run(in, "code-injection", defense.None)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("code injection", "executable", "shell spawned", o.Status())
-	o, err = run("code-injection", defense.NXOnly)
+	o, err = run(in, "code-injection", defense.NXOnly)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("code injection", "NX", "blocked", o.Status())
-	o, err = run("arc-injection", defense.NXOnly)
+	o, err = run(in, "arc-injection", defense.NXOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -227,8 +231,8 @@ func runE4() (*report.Table, error) {
 	return t, nil
 }
 
-func runE5() (*report.Table, error) {
-	o, err := run("var-bss", defense.None)
+func runE5(in Instrument) (*report.Table, error) {
+	o, err := run(in, "var-bss", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -239,8 +243,8 @@ func runE5() (*report.Table, error) {
 	return t, nil
 }
 
-func runE6() (*report.Table, error) {
-	o, err := run("var-stack", defense.None)
+func runE6(in Instrument) (*report.Table, error) {
+	o, err := run(in, "var-stack", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -252,8 +256,8 @@ func runE6() (*report.Table, error) {
 	return t, nil
 }
 
-func runE7() (*report.Table, error) {
-	o, err := run("member-var", defense.None)
+func runE7(in Instrument) (*report.Table, error) {
+	o, err := run(in, "member-var", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -264,15 +268,15 @@ func runE7() (*report.Table, error) {
 	return t, nil
 }
 
-func runE8() (*report.Table, error) {
+func runE8(in Instrument) (*report.Table, error) {
 	t := report.NewTable("E8 — §3.8.2: vtable pointer subterfuge",
 		"variant", "paper", "measured")
-	o, err := run("vptr-bss", defense.None)
+	o, err := run(in, "vptr-bss", defense.None)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("via data/bss overflow", "arbitrary method invoked", o.Status())
-	o, err = run("vptr-stack", defense.None)
+	o, err = run(in, "vptr-stack", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -280,8 +284,8 @@ func runE8() (*report.Table, error) {
 	return t, nil
 }
 
-func runE9() (*report.Table, error) {
-	o, err := run("funcptr", defense.None)
+func runE9(in Instrument) (*report.Table, error) {
+	o, err := run(in, "funcptr", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -291,8 +295,8 @@ func runE9() (*report.Table, error) {
 	return t, nil
 }
 
-func runE10() (*report.Table, error) {
-	o, err := run("varptr", defense.None)
+func runE10(in Instrument) (*report.Table, error) {
+	o, err := run(in, "varptr", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -302,15 +306,15 @@ func runE10() (*report.Table, error) {
 	return t, nil
 }
 
-func runE11() (*report.Table, error) {
+func runE11(in Instrument) (*report.Table, error) {
 	t := report.NewTable("E11 — §4.1–4.2 Listings 19–20: two-step array overflow",
 		"variant", "paper", "measured", "n_unames after")
-	o, err := run("array-2step-stack", defense.None)
+	o, err := run(in, "array-2step-stack", defense.None)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("stack pool", "return address smashed", o.Status(), fmtMetric(o, "n_unames_after"))
-	o, err = run("array-2step-bss", defense.None)
+	o, err = run(in, "array-2step-bss", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -318,25 +322,25 @@ func runE11() (*report.Table, error) {
 	return t, nil
 }
 
-func runE12() (*report.Table, error) {
+func runE12(in Instrument) (*report.Table, error) {
 	t := report.NewTable("E12 — §4.3 Listings 21–22: information leakage",
 		"variant", "defense", "paper", "leaked")
-	o, err := run("infoleak-array", defense.None)
+	o, err := run(in, "infoleak-array", defense.None)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("password file via array", "none", "remnants disclosed", fmtMetric(o, "leaked_bytes")+" bytes")
-	o, err = run("infoleak-array", defense.SanitizeOnly)
+	o, err = run(in, "infoleak-array", defense.SanitizeOnly)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("password file via array", "sanitize (§5.1)", "0", fmtMetric(o, "leaked_bytes")+" bytes")
-	o, err = run("infoleak-object", defense.None)
+	o, err = run(in, "infoleak-object", defense.None)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("SSN via object reuse", "none", "SSN disclosed", fmtMetric(o, "ssn_recovered")+"/3 words")
-	o, err = run("infoleak-object", defense.SanitizeOnly)
+	o, err = run(in, "infoleak-object", defense.SanitizeOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -344,8 +348,8 @@ func runE12() (*report.Table, error) {
 	return t, nil
 }
 
-func runE13() (*report.Table, error) {
-	o, err := run("dos-loop", defense.None)
+func runE13(in Instrument) (*report.Table, error) {
+	o, err := run(in, "dos-loop", defense.None)
 	if err != nil {
 		return nil, err
 	}
@@ -356,16 +360,16 @@ func runE13() (*report.Table, error) {
 	return t, nil
 }
 
-func runE14() (*report.Table, error) {
+func runE14(in Instrument) (*report.Table, error) {
 	t := report.NewTable("E14 — §4.5 Listing 23: memory leak per iteration",
 		"defense", "paper", "measured leak/iteration")
-	o, err := run("memleak", defense.None)
+	o, err := run(in, "memleak", defense.None)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("none", "sizeof(GradStudent)-sizeof(Student) = "+fmtMetric(o, "expected_per_iteration"),
 		fmtMetric(o, "leak_per_iteration"))
-	o, err = run("memleak", defense.DeleteOnly)
+	o, err = run(in, "memleak", defense.DeleteOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -373,8 +377,11 @@ func runE14() (*report.Table, error) {
 	return t, nil
 }
 
-func runE15() (*report.Table, error) {
+func runE15(in Instrument) (*report.Table, error) {
 	configs := defense.Catalog()
+	for i := range configs {
+		configs[i] = in.config(configs[i])
+	}
 	matrix, err := attack.RunMatrix(configs)
 	if err != nil {
 		return nil, err

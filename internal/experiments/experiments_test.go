@@ -14,7 +14,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			if e.ID == "E15" && testing.Short() {
 				t.Skip("matrix is slow in -short mode")
 			}
-			tb, err := e.Run()
+			tb, err := e.Run(Instrument{})
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
@@ -39,7 +39,7 @@ func TestByID(t *testing.T) {
 }
 
 func TestE3TableShape(t *testing.T) {
-	tb, err := runE3()
+	tb, err := runE3(Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestE15MatrixAndSummary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is slow in -short mode")
 	}
-	tb, err := runE15()
+	tb, err := runE15(Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestE15MatrixAndSummary(t *testing.T) {
 }
 
 func TestE16Totals(t *testing.T) {
-	tb, err := runE16()
+	tb, err := runE16(Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestE16Totals(t *testing.T) {
 }
 
 func TestE17ProducesPositiveTimings(t *testing.T) {
-	tb, err := runE17()
+	tb, err := runE17(Instrument{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,63 +2,56 @@ package experiments
 
 import (
 	"repro/internal/defense"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
 
-// activeCollector is the package's observability seam: when set, every
-// scenario run through run() opens a scenario span, and chaos campaigns
-// wire their injectors and supervisors into it. It is package-global
-// state for the same reason machine.OnNewProcess is — scenarios are
-// constructed deep inside experiment runners with no parameter path —
-// and carries the same rule: set it only from single-threaded drivers
-// (cmd/pntrace, cmd/pnbench, dedicated tests), never from parallel
-// tests.
-var activeCollector *obs.Collector
-
-// SetCollector installs (or, with nil, removes) the collector that
-// instruments subsequent experiment runs. It returns a restore
-// function for the previous value, so drivers can scope
-// instrumentation to one run.
-func SetCollector(c *obs.Collector) (restore func()) {
-	prev := activeCollector
-	activeCollector = c
-	return func() { activeCollector = prev }
+// Instrument is the instrumentation one experiment run threads into
+// every process it builds. It is a plain argument, so concurrent runs
+// each carry their own. The zero value runs uninstrumented.
+type Instrument struct {
+	// Collector, when non-nil, observes every process, opens a span per
+	// scenario run, and receives chaos injections and supervised
+	// attempts.
+	Collector *obs.Collector
+	// OnProcess, when non-nil, runs on every process after Collector
+	// has observed it (pntrace arms its chaos overlay here).
+	OnProcess func(*machine.Process)
 }
 
-// ActiveCollector returns the installed collector, or nil.
-func ActiveCollector() *obs.Collector { return activeCollector }
-
-// scenarioSpan opens a scenario span when a collector is active; the
-// returned close function is a no-op otherwise.
-func scenarioSpan(id string, cfg defense.Config) func() {
-	col := activeCollector
-	if col == nil {
-		return func() {}
+// config returns cfg with in's hooks chained ahead of cfg's own
+// OnProcess; with the zero Instrument it returns cfg unchanged.
+func (in Instrument) config(cfg defense.Config) defense.Config {
+	if in.Collector == nil && in.OnProcess == nil {
+		return cfg
 	}
-	sp := col.Tracer.Start(obs.CatScenario, id, obs.A("defense", cfg.Name))
-	return sp.Close
+	own := cfg.OnProcess
+	cfg.OnProcess = func(p *machine.Process) {
+		in.Collector.ObserveProcess(p)
+		if in.OnProcess != nil {
+			in.OnProcess(p)
+		}
+		if own != nil {
+			own(p)
+		}
+	}
+	return cfg
 }
 
-// RunInstrumented runs one experiment under a fresh collector: it
-// installs the machine seam and the experiments seam, opens the
-// experiment root span, runs, finalizes, and returns the collector
-// alongside the experiment's table. It is the programmatic face of
-// cmd/pntrace.
-func RunInstrumented(e Experiment, attrs ...obs.Attr) (*obs.Collector, *report.Table, error) {
-	col := obs.NewCollector()
-	restoreMachine := col.Install()
-	defer restoreMachine()
-	restoreExp := SetCollector(col)
-	defer restoreExp()
-
+// RunInstrumented runs e under in, whose Collector must be non-nil: it
+// opens the experiment root span (ref, title, then attrs), runs,
+// finalizes the collector, and returns the experiment's table. It is
+// the programmatic face of cmd/pntrace.
+func RunInstrumented(e Experiment, in Instrument, attrs ...obs.Attr) (*report.Table, error) {
+	col := in.Collector
 	root := col.Tracer.Start(obs.CatExperiment, e.ID,
 		append([]obs.Attr{obs.A("ref", e.Ref), obs.A("title", e.Title)}, attrs...)...)
-	t, err := e.Run()
+	t, err := e.Run(in)
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
 	root.Close()
 	col.Finalize()
-	return col, t, err
+	return t, err
 }

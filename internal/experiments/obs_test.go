@@ -9,55 +9,87 @@ import (
 	"repro/internal/obs"
 )
 
+// artifacts are the deterministic renderings of one instrumented run.
+type artifacts struct {
+	trace, ndjson, heatJSON []byte
+	metrics, heat           string
+}
+
 // renderAll runs e instrumented and renders every deterministic
 // artifact the obs layer exports.
-func renderAll(t *testing.T, e Experiment) (trace, ndjson, heatJSON []byte, metrics, heat string) {
+func renderAll(t *testing.T, e Experiment) artifacts {
 	t.Helper()
-	col, _, err := RunInstrumented(e)
-	if err != nil {
+	col := obs.NewCollector()
+	if _, err := RunInstrumented(e, Instrument{Collector: col}); err != nil {
 		t.Fatalf("%s: %v", e.ID, err)
 	}
-	trace, err = obs.ChromeTrace(col.Tracer)
-	if err != nil {
+	var a artifacts
+	var err error
+	if a.trace, err = obs.ChromeTrace(col.Tracer); err != nil {
 		t.Fatal(err)
 	}
-	ndjson, err = obs.NDJSON(col.Tracer, col.Metrics)
-	if err != nil {
+	if a.ndjson, err = obs.NDJSON(col.Tracer, col.Metrics); err != nil {
 		t.Fatal(err)
 	}
-	heatJSON, err = obs.HeatmapJSON(col.Heat)
-	if err != nil {
+	if a.heatJSON, err = obs.HeatmapJSON(col.Heat); err != nil {
 		t.Fatal(err)
 	}
-	return trace, ndjson, heatJSON, col.Metrics.Exposition(), col.Heat.Render()
+	a.metrics, a.heat = col.Metrics.Exposition(), col.Heat.Render()
+	return a
+}
+
+// requireEqual reports each artifact of got that differs from want.
+func requireEqual(t *testing.T, id string, got, want artifacts) {
+	t.Helper()
+	if !bytes.Equal(got.trace, want.trace) {
+		t.Errorf("%s: trace JSON differs", id)
+	}
+	if !bytes.Equal(got.ndjson, want.ndjson) {
+		t.Errorf("%s: NDJSON differs", id)
+	}
+	if !bytes.Equal(got.heatJSON, want.heatJSON) {
+		t.Errorf("%s: heatmap JSON differs", id)
+	}
+	if got.metrics != want.metrics {
+		t.Errorf("%s: metrics exposition differs", id)
+	}
+	if got.heat != want.heat {
+		t.Errorf("%s: heatmap render differs", id)
+	}
 }
 
 // TestInstrumentedRunDeterministic is the obs counterpart of
 // TestChaosCampaignDeterministic: two instrumented runs of the same
-// experiment render byte-identical artifacts. It must not run in
-// parallel — RunInstrumented owns the machine.OnNewProcess seam.
+// experiment render byte-identical artifacts.
 func TestInstrumentedRunDeterministic(t *testing.T) {
 	e, err := ByID("E8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, n1, h1, m1, a1 := renderAll(t, e)
-	t2, n2, h2, m2, a2 := renderAll(t, e)
-	if !bytes.Equal(t1, t2) {
-		t.Error("trace JSON differs between identical runs")
+	requireEqual(t, e.ID, renderAll(t, e), renderAll(t, e))
+}
+
+// TestInstrumentedExperimentsInParallel runs every experiment
+// instrumented and concurrently, each under its own collector, and
+// holds each run's artifacts byte-identical to a serial instrumented
+// run of the same experiment. Under -race it is the gate that
+// instrumentation reaches a run only through its Instrument argument.
+func TestInstrumentedExperimentsInParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full catalogue is slow in -short mode")
 	}
-	if !bytes.Equal(n1, n2) {
-		t.Error("NDJSON differs between identical runs")
+	serial := map[string]artifacts{}
+	for _, e := range All() {
+		serial[e.ID] = renderAll(t, e)
 	}
-	if !bytes.Equal(h1, h2) {
-		t.Error("heatmap JSON differs between identical runs")
-	}
-	if m1 != m2 {
-		t.Error("metrics exposition differs between identical runs")
-	}
-	if a1 != a2 {
-		t.Error("heatmap render differs between identical runs")
-	}
+	t.Run("parallel", func(t *testing.T) {
+		for _, e := range All() {
+			t.Run(e.ID, func(t *testing.T) {
+				t.Parallel()
+				requireEqual(t, e.ID, renderAll(t, e), serial[e.ID])
+			})
+		}
+	})
 }
 
 func TestInstrumentedRunObservesScenarios(t *testing.T) {
@@ -65,7 +97,8 @@ func TestInstrumentedRunObservesScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, table, err := RunInstrumented(e)
+	col := obs.NewCollector()
+	table, err := RunInstrumented(e, Instrument{Collector: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +131,11 @@ func TestInstrumentedRunObservesScenarios(t *testing.T) {
 	if !strings.Contains(heat, "__vptr") {
 		t.Errorf("heatmap lacks vptr annotation:\n%s", heat)
 	}
-	// Seams are restored: no collector or process hook left behind.
-	if ActiveCollector() != nil {
-		t.Error("RunInstrumented left the experiments collector installed")
-	}
 }
 
 func TestScenarioSpanNoCollector(t *testing.T) {
-	// With no collector installed, scenarioSpan degrades to a no-op.
-	done := scenarioSpan("x", defense.None)
-	done()
+	// Without a collector, run opens no span and the scenario still runs.
+	if _, err := run(Instrument{}, "bss-overflow", defense.None); err != nil {
+		t.Fatal(err)
+	}
 }

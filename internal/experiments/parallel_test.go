@@ -18,7 +18,7 @@ func TestAllExperimentsInParallel(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			tb, err := e.Run()
+			tb, err := e.Run(Instrument{})
 			if err != nil {
 				t.Fatalf("%s (%s): %v", e.ID, e.Title, err)
 			}
@@ -38,11 +38,11 @@ func TestExperimentRerunStable(t *testing.T) {
 		if !stable[e.ID] {
 			continue
 		}
-		a, err := e.Run()
+		a, err := e.Run(Instrument{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := e.Run()
+		b, err := e.Run(Instrument{})
 		if err != nil {
 			t.Fatal(err)
 		}

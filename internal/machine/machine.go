@@ -64,8 +64,8 @@ type Options struct {
 	// (heap formatting, stack setup, canary install). It is the seam
 	// the scenario compiler's recorder (internal/compile) uses to
 	// attach write instrumentation early enough to capture the full
-	// from-pristine write set; OnNewProcess and defense.Config.OnProcess
-	// fire too late for that, after construction has already stored.
+	// from-pristine write set; defense.Config.OnProcess fires too late
+	// for that, after construction has already stored.
 	OnImage func(*mem.Image)
 }
 
@@ -111,15 +111,6 @@ type Process struct {
 	// happens (the observability seam; see SetEventObserver).
 	onEvent func(Event)
 }
-
-// OnNewProcess, when non-nil, is invoked on every Process immediately
-// after construction, before any program activity. It is the seam
-// through which full-run instrumentation (cmd/pntrace's obs.Collector)
-// reaches processes built deep inside attack scenarios without
-// threading a parameter through every layer. It is package-global
-// state: set it only from single-threaded drivers (CLIs, dedicated
-// tests), never from parallel tests.
-var OnNewProcess func(*Process)
 
 // New creates a process with a formatted heap and an empty call stack.
 func New(opts Options) (*Process, error) {
@@ -185,9 +176,6 @@ func New(opts Options) (*Process, error) {
 		if err := h.SetShadow(heapShadow{p.san}); err != nil {
 			return nil, fmt.Errorf("machine: %w", err)
 		}
-	}
-	if OnNewProcess != nil {
-		OnNewProcess(p)
 	}
 	return p, nil
 }

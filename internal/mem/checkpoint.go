@@ -127,9 +127,8 @@ func (m *Memory) verifyLayout(cp *Checkpoint, op string) error {
 
 // Restore rolls every segment's bytes and permissions back to the
 // checkpointed state. The segment layout must match the checkpoint's
-// (restore does not remap segments); watchpoints, guards, the write
-// logger, and any access hook are left installed and do not observe the
-// restore. After a successful Restore, DiffCheckpoint against the same
+// (restore does not remap segments); guards, the write logger, and any
+// access hook are left installed and do not observe the restore. After a successful Restore, DiffCheckpoint against the same
 // checkpoint reports no differences.
 func (m *Memory) Restore(cp *Checkpoint) error {
 	_, err := m.RestoreDirty(cp)

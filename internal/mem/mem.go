@@ -7,8 +7,9 @@
 // The address space is a set of non-overlapping mapped segments (text,
 // rodata, data, bss, heap, stack), each with R/W/X permissions. Accesses
 // outside mapped segments or against permissions raise a *Fault, mirroring
-// a SIGSEGV in the paper's Ubuntu testbed. Watchpoints allow experiments to
-// observe writes to victim locations without altering the attack path.
+// a SIGSEGV in the paper's Ubuntu testbed. Guard regions fault writes
+// into red zones, and observer seams (SetAccessObserver, SetWriteLogger)
+// let instrumentation see every write without altering the attack path.
 package mem
 
 import (
@@ -139,7 +140,6 @@ func (s *Segment) containsRange(addr Addr, n uint64) bool {
 // single-threaded, as are all of the paper's victim programs.
 type Memory struct {
 	segs   []*Segment // sorted by Base
-	watch  []*Watchpoint
 	guards []*GuardRegion
 	// writeLog, when non-nil, receives a record for every successful write.
 	writeLog func(WriteRecord)
@@ -296,8 +296,9 @@ func (m *Memory) Read(addr Addr, n uint64) ([]byte, error) {
 	return out, nil
 }
 
-// Write copies b into memory at addr, honouring permissions and firing
-// watchpoints. The old bytes are captured before the write for tracing.
+// Write copies b into memory at addr, honouring permissions, the
+// sanitizer, guard regions and the access hook. With a write logger
+// installed the old bytes are captured before the write for tracing.
 func (m *Memory) Write(addr Addr, b []byte) error {
 	n := uint64(len(b))
 	s, f := m.seg(addr, n)
@@ -337,7 +338,7 @@ func (m *Memory) Write(addr Addr, b []byte) error {
 	}
 	off := uint64(addr.Diff(s.Base))
 	var old []byte
-	if m.writeLog != nil || len(m.watch) > 0 {
+	if m.writeLog != nil {
 		old = make([]byte, n)
 		s.readRaw(off, old)
 	}
@@ -350,7 +351,6 @@ func (m *Memory) Write(addr Addr, b []byte) error {
 		copy(nb, b)
 		m.writeLog(WriteRecord{Addr: addr, Old: old, New: nb})
 	}
-	m.fireWatch(addr, old, b)
 	return nil
 }
 

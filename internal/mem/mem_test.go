@@ -342,54 +342,6 @@ func TestFindSegment(t *testing.T) {
 	}
 }
 
-func TestWatchpointFiresOnIntersection(t *testing.T) {
-	m, _ := newTestMem(t)
-	var fired int
-	var gotOld, gotNew []byte
-	w := m.Watch("victim", 0x1104, 4, func(_ *Watchpoint, _ Addr, old, new []byte) {
-		fired++
-		gotOld, gotNew = old, new
-	})
-	// Write below the range: no fire.
-	if err := m.Write(0x1100, []byte{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 0 {
-		t.Fatalf("fired on non-intersecting write")
-	}
-	// Straddling write: fires.
-	if err := m.Write(0x1102, []byte{9, 9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 || w.Hits != 1 {
-		t.Fatalf("fired=%d hits=%d, want 1/1", fired, w.Hits)
-	}
-	if !bytes.Equal(gotOld, []byte{3, 4, 0, 0}) || !bytes.Equal(gotNew, []byte{9, 9, 9, 9}) {
-		t.Errorf("old=%v new=%v", gotOld, gotNew)
-	}
-	m.Unwatch(w)
-	if err := m.Write(0x1104, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Error("fired after Unwatch")
-	}
-	m.Unwatch(w) // double-remove is a no-op
-}
-
-func TestWatchpointNilCallbackCountsHits(t *testing.T) {
-	m, _ := newTestMem(t)
-	w := m.Watch("count", 0x1100, 8, nil)
-	for i := 0; i < 3; i++ {
-		if err := m.WriteU8(0x1100, byte(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Hits != 3 {
-		t.Errorf("Hits = %d, want 3", w.Hits)
-	}
-}
-
 func TestGuardRegionBlocksWrites(t *testing.T) {
 	m, _ := newTestMem(t)
 	if err := m.WriteU32(0x1104, 0x11111111); err != nil {
@@ -671,65 +623,5 @@ func TestProtectChangesPermissions(t *testing.T) {
 	}
 	if err := img.Mem.Protect(SegKind(99), PermRW); err == nil {
 		t.Error("protect of unmapped kind succeeded")
-	}
-}
-
-func TestWatchpointsAccessor(t *testing.T) {
-	m, _ := newTestMem(t)
-	if got := m.Watchpoints(); len(got) != 0 {
-		t.Fatalf("fresh memory has %d watchpoints", len(got))
-	}
-	a := m.Watch("a", 0x1100, 4, nil)
-	b := m.Watch("b", 0x1200, 4, nil)
-	got := m.Watchpoints()
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("Watchpoints() = %v, want [a b] in installation order", got)
-	}
-	// The returned slice is a copy: mutating it must not affect the
-	// installed set.
-	got[0] = nil
-	if ws := m.Watchpoints(); ws[0] != a {
-		t.Error("Watchpoints() returned the internal slice, not a copy")
-	}
-	m.Unwatch(a)
-	if ws := m.Watchpoints(); len(ws) != 1 || ws[0] != b {
-		t.Errorf("after Unwatch(a): %v, want [b]", ws)
-	}
-}
-
-func TestWatchpointOverlapBothHit(t *testing.T) {
-	m, _ := newTestMem(t)
-	a := m.Watch("a", 0x1100, 8, nil)
-	b := m.Watch("b", 0x1104, 8, nil) // overlaps a on [0x1104,0x1108)
-	if err := m.WriteU32(0x1104, 0xdeadbeef); err != nil {
-		t.Fatal(err)
-	}
-	if a.Hits != 1 || b.Hits != 1 {
-		t.Errorf("hits a=%d b=%d, want 1/1", a.Hits, b.Hits)
-	}
-	if err := m.WriteU32(0x1108, 1); err != nil { // only b
-		t.Fatal(err)
-	}
-	if a.Hits != 1 || b.Hits != 2 {
-		t.Errorf("hits a=%d b=%d, want 1/2", a.Hits, b.Hits)
-	}
-}
-
-func TestWatchpointCallbackRemovesItself(t *testing.T) {
-	m, _ := newTestMem(t)
-	var w *Watchpoint
-	w = m.Watch("once", 0x1100, 4, func(self *Watchpoint, addr Addr, old, new []byte) {
-		m.Unwatch(self)
-	})
-	for i := 0; i < 3; i++ {
-		if err := m.WriteU8(0x1100, byte(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Hits != 1 {
-		t.Errorf("Hits = %d, want 1 (callback unwatched itself)", w.Hits)
-	}
-	if len(m.Watchpoints()) != 0 {
-		t.Error("watchpoint still installed after self-removal")
 	}
 }

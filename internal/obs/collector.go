@@ -17,7 +17,8 @@ import (
 //   - mem.AccessObserver: per-segment read/write counts and byte
 //     volume, access-size histograms, write-density heat, one clock
 //     tick per access.
-//   - machine process construction (OnNewProcess) and event recording
+//   - machine process construction (ObserveProcess, which a run's
+//     defense.Config.OnProcess hook calls) and event recording
 //     (SetEventObserver): process counts, machine-event and
 //     defense-verdict counters, instant trace events for hijacks and
 //     aborts.
@@ -49,7 +50,6 @@ func NewCollector() *Collector {
 	m.Describe(MetricReadBytes, "bytes read through checked accesses, by segment", TypeCounter)
 	m.Describe(MetricWriteBytes, "bytes written through checked accesses, by segment", TypeCounter)
 	m.Describe(MetricAccessSize, "checked access sizes in bytes, by op", TypeHistogram)
-	m.Describe(MetricWatchpointHits, "watchpoint hits harvested at finalize, by watchpoint", TypeCounter)
 	m.Describe(MetricProcesses, "simulated processes constructed", TypeCounter)
 	m.Describe(MetricMachineEvents, "machine events recorded, by kind", TypeCounter)
 	m.Describe(MetricVerdicts, "defense verdicts observed, by verdict", TypeCounter)
@@ -67,22 +67,9 @@ func NewCollector() *Collector {
 	return c
 }
 
-// Install points machine.OnNewProcess at this collector so every
-// process built anywhere in the program is observed, and returns a
-// restore function for the previous seam value. Callers are expected
-// to be single-threaded drivers (CLIs, dedicated tests).
-func (c *Collector) Install() (restore func()) {
-	prev := machine.OnNewProcess
-	if c == nil {
-		return func() {}
-	}
-	machine.OnNewProcess = c.ObserveProcess
-	return func() { machine.OnNewProcess = prev }
-}
-
 // ObserveProcess instruments one simulated process: arms the passive
 // access observer on its memory, subscribes to its event stream, and
-// remembers it for the finalize-time harvest (watchpoint hits, global
+// remembers it for the finalize-time harvest (shadow statistics, global
 // object layouts for heatmap annotation).
 func (c *Collector) ObserveProcess(p *machine.Process) {
 	if c == nil || p == nil {
@@ -227,7 +214,7 @@ func (c *Collector) JobFinished(res *resilience.Result) {
 
 // --- finalize -------------------------------------------------------------
 
-// Finalize harvests post-run state — watchpoint hit counts and global
+// Finalize harvests post-run state — shadow statistics and global
 // object layouts (extents plus vptr slots) for heatmap annotation —
 // then finishes the trace. Call it once, after the instrumented run.
 func (c *Collector) Finalize() {
@@ -238,12 +225,8 @@ func (c *Collector) Finalize() {
 	procs := append([]*machine.Process(nil), c.procs...)
 	c.mu.Unlock()
 
-	seenW := map[string]int{}
 	var shadowPoisoned int
 	for _, p := range procs {
-		for _, w := range p.Mem.Watchpoints() {
-			seenW[w.Name] += w.Hits
-		}
 		if san := p.Sanitizer(); san != nil {
 			st := san.Stats()
 			c.Metrics.Add(MetricShadowPoisonOps, float64(st.PoisonOps))
@@ -274,12 +257,6 @@ func (c *Collector) Finalize() {
 					}
 				}
 			}
-		}
-	}
-	// Deterministic order comes from the registry's own sorting.
-	for name, hits := range seenW {
-		if hits > 0 {
-			c.Metrics.Add(MetricWatchpointHits, float64(hits), L("watchpoint", name))
 		}
 	}
 	c.Tracer.Finish()

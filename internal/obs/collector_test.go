@@ -11,13 +11,11 @@ import (
 
 func TestCollectorObservesProcessAccesses(t *testing.T) {
 	col := NewCollector()
-	restore := col.Install()
-	defer restore()
-
 	p, err := machine.New(machine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	col.ObserveProcess(p)
 	if got := col.Metrics.Value(MetricProcesses); got != 1 {
 		t.Errorf("processes = %g, want 1", got)
 	}
@@ -45,24 +43,25 @@ func TestCollectorObservesProcessAccesses(t *testing.T) {
 	if col.Tracer.Now() == 0 {
 		t.Error("logical clock did not advance on accesses")
 	}
-
-	// Watchpoint hits are harvested at finalize.
-	p.Mem.Watch("victim", base, 4, nil)
-	if err := p.Mem.WriteU8(base, 1); err != nil {
-		t.Fatal(err)
-	}
-	col.Finalize()
-	if got := col.Metrics.Value(MetricWatchpointHits, L("watchpoint", "victim")); got != 1 {
-		t.Errorf("watchpoint hits = %g, want 1", got)
-	}
 }
 
-func TestCollectorSeamRestores(t *testing.T) {
+// TestCollectorObservesOnlyGivenProcesses: a collector sees exactly the
+// processes handed to ObserveProcess; a process built beside them is
+// invisible to it, so concurrent runs can each carry their own.
+func TestCollectorObservesOnlyGivenProcesses(t *testing.T) {
 	col := NewCollector()
-	restore := col.Install()
-	restore()
-	if machine.OnNewProcess != nil {
-		t.Error("Install restore left the seam set")
+	other, err := machine.New(machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Mem.WriteU32(other.Img.BSS.Base, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := col.Metrics.Value(MetricProcesses); got != 0 {
+		t.Errorf("processes = %g, want 0", got)
+	}
+	if got := col.Tracer.Now(); got != 0 {
+		t.Errorf("logical clock = %d after an unobserved write, want 0", got)
 	}
 }
 

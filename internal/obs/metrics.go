@@ -13,20 +13,19 @@ import (
 // Metric names emitted by the built-in Collector instrumentation. They
 // are exported so tests and dashboards reference one spelling.
 const (
-	MetricReads          = "pn_mem_reads_total"
-	MetricWrites         = "pn_mem_writes_total"
-	MetricReadBytes      = "pn_mem_read_bytes_total"
-	MetricWriteBytes     = "pn_mem_write_bytes_total"
-	MetricAccessSize     = "pn_mem_access_size_bytes"
-	MetricWatchpointHits = "pn_watchpoint_hits_total"
-	MetricProcesses      = "pn_processes_total"
-	MetricMachineEvents  = "pn_machine_events_total"
-	MetricVerdicts       = "pn_defense_verdicts_total"
-	MetricChaosFaults    = "pn_chaos_faults_total"
-	MetricJobs           = "pn_supervisor_jobs_total"
-	MetricAttempts       = "pn_supervisor_attempts_total"
-	MetricRetries        = "pn_supervisor_retries_total"
-	MetricCrashes        = "pn_supervisor_crashes_total"
+	MetricReads         = "pn_mem_reads_total"
+	MetricWrites        = "pn_mem_writes_total"
+	MetricReadBytes     = "pn_mem_read_bytes_total"
+	MetricWriteBytes    = "pn_mem_write_bytes_total"
+	MetricAccessSize    = "pn_mem_access_size_bytes"
+	MetricProcesses     = "pn_processes_total"
+	MetricMachineEvents = "pn_machine_events_total"
+	MetricVerdicts      = "pn_defense_verdicts_total"
+	MetricChaosFaults   = "pn_chaos_faults_total"
+	MetricJobs          = "pn_supervisor_jobs_total"
+	MetricAttempts      = "pn_supervisor_attempts_total"
+	MetricRetries       = "pn_supervisor_retries_total"
+	MetricCrashes       = "pn_supervisor_crashes_total"
 )
 
 // Shadow-memory sanitizer metric names (harvested from each process's

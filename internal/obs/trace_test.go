@@ -129,7 +129,6 @@ func TestNilSafety(t *testing.T) {
 	if c.ChaosHook() != nil {
 		t.Error("nil collector returned a chaos hook")
 	}
-	c.Install()()
 }
 
 func TestTracerConcurrentUse(t *testing.T) {

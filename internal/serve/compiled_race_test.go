@@ -18,9 +18,9 @@ import (
 // TestCompiledTierConcurrency hammers a Compiled server with
 // concurrent /run and /runbatch traffic (NoCache, so every request
 // actually executes and exercises the shared compiled-program cache)
-// while a rebalance loop concurrently evicts program-cache entries —
-// the evict-while-executing case the cluster tier hits when a worker's
-// shard shrinks. Run under -race (the CI test job always does), this
+// while an evictor loop concurrently drops program-cache entries, so
+// programs are evicted while they execute. Run under -race (the CI
+// test job always does), this
 // is the data-race gate for the compiled tier; it also spot-checks
 // that compiled responses match an interpreted server's byte-for-byte
 // on the semantic fields.
@@ -113,7 +113,7 @@ func TestCompiledTierConcurrency(t *testing.T) {
 		}(g)
 	}
 
-	// The rebalance loop: evict programs out from under in-flight
+	// The evictor loop: evict programs out from under in-flight
 	// executions. Immutable programs make this safe; the next request
 	// for an evicted key recompiles via singleflight.
 	stop := make(chan struct{})

@@ -33,27 +33,25 @@ func (s *Service) HandleBatch(ctx context.Context, reqs []Request) []BatchOutcom
 		return out
 	}
 
-	if s.pool != nil {
-		// One template lookup for the whole batch: collect the distinct
-		// image configurations the requests will construct and prewarm
-		// them while still on the caller's goroutine.
-		seen := map[mem.ImageConfig]bool{}
-		var cfgs []mem.ImageConfig
-		for _, r := range reqs {
-			n, err := normalize(r)
-			if err != nil || n.kind != "scenario" {
-				continue
-			}
-			mo := n.defCfg.MachineOptions()
-			icfg := mo.Image
-			icfg.ExecStack = mo.ExecStack
-			if !seen[icfg] {
-				seen[icfg] = true
-				cfgs = append(cfgs, icfg)
-			}
+	// One template lookup for the whole batch: collect the distinct
+	// image configurations the requests will construct and prewarm them
+	// while still on the caller's goroutine.
+	seen := map[mem.ImageConfig]bool{}
+	var cfgs []mem.ImageConfig
+	for _, r := range reqs {
+		n, err := normalize(r)
+		if err != nil || n.kind != "scenario" {
+			continue
 		}
-		s.pool.Prewarm(cfgs...)
+		mo := n.defCfg.MachineOptions()
+		icfg := mo.Image
+		icfg.ExecStack = mo.ExecStack
+		if !seen[icfg] {
+			seen[icfg] = true
+			cfgs = append(cfgs, icfg)
+		}
 	}
+	s.pool.Prewarm(cfgs...)
 
 	var wg sync.WaitGroup
 	wg.Add(len(reqs))

@@ -171,21 +171,3 @@ func TestTemplatePoolRawAcquireRace(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d total acquisitions", st, workers*10)
 	}
 }
-
-// TestDisableTemplatePool pins the escape hatch: with the pool off the
-// service still serves scenarios, just without a pool.
-func TestDisableTemplatePool(t *testing.T) {
-	s := New(Config{Workers: 2, QueueDepth: 8, CacheCapacity: 8,
-		DisableTemplatePool: true, Registry: obs.NewRegistry()})
-	defer s.Drain()
-	if s.Pool() != nil {
-		t.Fatal("pool must be nil when disabled")
-	}
-	res, _, err := s.Handle(context.Background(), Request{Scenario: "bss-overflow"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status == "" {
-		t.Fatalf("result = %+v", res)
-	}
-}

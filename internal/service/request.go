@@ -81,8 +81,9 @@ type Request struct {
 	Model string `json:"model,omitempty"`
 	// Seed/ChaosProb/Faults arm the deterministic chaos overlay on
 	// scenario requests. ChaosProb 0 disables injection. Experiments
-	// refuse the overlay: their instrumentation seams are process-global
-	// and a shared server must not mutate them per request.
+	// refuse the overlay: an experiment builds many processes (E19 runs
+	// its own campaign), and what one request-level fault schedule
+	// should mean across them is not defined yet.
 	Seed      int64   `json:"seed,omitempty"`
 	ChaosProb float64 `json:"chaos_prob,omitempty"`
 	Faults    string  `json:"faults,omitempty"`

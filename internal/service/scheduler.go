@@ -11,6 +11,12 @@ import (
 	"repro/internal/resilience"
 )
 
+// ShedRetryAfter is the fallback backoff hint attached to shed
+// responses when no measured drain rate is available yet. Once the
+// limiter has seen completions, rejections carry an honest estimate
+// instead.
+const ShedRetryAfter = 250 * time.Millisecond
+
 // SchedulerConfig tunes the worker pool and its admission-control
 // stack.
 type SchedulerConfig struct {
@@ -19,11 +25,6 @@ type SchedulerConfig struct {
 	// QueueDepth bounds each priority lane's admission queue
 	// (default 64). A full lane sheds instead of queueing.
 	QueueDepth int
-	// RetryAfter is the fallback backoff hint attached to shed
-	// responses when no measured drain rate is available yet
-	// (default 250ms). Once the limiter has seen completions,
-	// rejections carry an honest estimate instead.
-	RetryAfter time.Duration
 	// Quota arms per-tenant token-bucket admission quotas (zero value
 	// = disabled).
 	Quota QuotaConfig
@@ -58,9 +59,6 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 250 * time.Millisecond
 	}
 	if c.AgingThreshold == 0 {
 		c.AgingThreshold = time.Second
@@ -253,7 +251,7 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 		adm.Class = adm.ID
 	}
 	if s.Draining() {
-		return nil, s.reject(adm, ReasonDraining, s.cfg.RetryAfter)
+		return nil, s.reject(adm, ReasonDraining, ShedRetryAfter)
 	}
 	if ok, wait := s.breakers.allow(adm.Tenant, adm.Class); !ok {
 		s.shed(adm, ReasonBreakerOpen)
@@ -269,7 +267,7 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 	if !adm.Trusted && !s.limiter.TryAcquire() {
 		s.quotas.Refund(adm.Tenant)
 		s.shed(adm, ReasonLimiter)
-		return nil, s.reject(adm, ReasonLimiter, s.limiter.RetryAfter(now, s.cfg.RetryAfter))
+		return nil, s.reject(adm, ReasonLimiter, s.limiter.RetryAfter(now, ShedRetryAfter))
 	}
 	t := &task{ctx: ctx, adm: adm, fn: fn, done: make(chan taskResult, 1), admitted: now}
 	entry, pres := s.fq.push(t, adm.Tenant, adm.Priority)
@@ -277,10 +275,10 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 	case pushFull:
 		s.refund(adm)
 		s.shed(adm, ReasonQueueFull)
-		return nil, s.reject(adm, ReasonQueueFull, s.limiter.RetryAfter(now, s.cfg.RetryAfter))
+		return nil, s.reject(adm, ReasonQueueFull, s.limiter.RetryAfter(now, ShedRetryAfter))
 	case pushClosed:
 		s.refund(adm)
-		return nil, s.reject(adm, ReasonDraining, s.cfg.RetryAfter)
+		return nil, s.reject(adm, ReasonDraining, ShedRetryAfter)
 	}
 	s.gauges()
 	if s.cfg.Bus.Active() {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/chaos"
 	"repro/internal/compile"
+	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -28,20 +29,12 @@ import (
 
 // Config assembles a Service.
 type Config struct {
-	// Workers/QueueDepth/RetryAfter tune the scheduler (see
-	// SchedulerConfig).
+	// Workers/QueueDepth tune the scheduler (see SchedulerConfig).
 	Workers    int
 	QueueDepth int
-	RetryAfter time.Duration
 	// CacheCapacity/CacheTTL tune the result cache (see CacheConfig).
 	CacheCapacity int
 	CacheTTL      time.Duration
-	// DisableTemplatePool turns off the image template pool. By default
-	// every scenario request sources its process address space from a
-	// pool of prewarmed copy-on-write templates (see mem.ImagePool), so
-	// a cache miss clones a pristine image in O(pages) pointer
-	// operations instead of allocating and zeroing fresh segments.
-	DisableTemplatePool bool
 	// DefaultDeadline bounds requests that do not set their own
 	// (default 15s). The deadline covers queueing and execution.
 	DefaultDeadline time.Duration
@@ -85,14 +78,15 @@ type Config struct {
 	// cache-miss scenario executions without chaos or detail tracing
 	// are lowered once per (scenario, defense, model) into a
 	// straight-line op program and replayed through the flat dispatch
-	// loop on subsequent misses. The program cache sits alongside the
+	// loop on subsequent misses. The program cache, bounded at
+	// compiledCacheCapacity specializations, sits alongside the
 	// content-addressed result cache; anything not compilable falls
 	// back to the interpreted path transparently.
 	Compiled bool
-	// CompiledCacheCapacity bounds the compiled-program cache
-	// (default 256 specializations).
-	CompiledCacheCapacity int
 }
+
+// compiledCacheCapacity bounds the compiled-program cache.
+const compiledCacheCapacity = 256
 
 func (c Config) withDefaults() Config {
 	if c.DefaultDeadline <= 0 {
@@ -133,7 +127,6 @@ func New(cfg Config) *Service {
 		sched: NewScheduler(SchedulerConfig{
 			Workers:        cfg.Workers,
 			QueueDepth:     cfg.QueueDepth,
-			RetryAfter:     cfg.RetryAfter,
 			Quota:          cfg.Quota,
 			Limiter:        cfg.Limiter,
 			Breaker:        cfg.Breaker,
@@ -154,34 +147,31 @@ func New(cfg Config) *Service {
 			}
 		},
 	})
-	if !cfg.DisableTemplatePool {
-		s.pool = mem.NewImagePool()
-		s.pool.OnEvent = func(event string) {
-			reg.Inc(obs.MetricServePool, obs.L("event", event))
-		}
-		// Prewarm the canonical image configurations the defense
-		// catalogue produces (only ExecStack varies; segment sizes stay
-		// at their defaults), so even the very first cache miss clones
-		// instead of constructing.
-		s.pool.Prewarm(mem.ImageConfig{}, mem.ImageConfig{ExecStack: true})
+	// Every scenario request sources its process address space from a
+	// pool of prewarmed copy-on-write templates, so a cache miss clones
+	// a pristine image in O(pages) pointer operations instead of
+	// allocating and zeroing fresh segments.
+	s.pool = mem.NewImagePool()
+	s.pool.OnEvent = func(event string) {
+		reg.Inc(obs.MetricServePool, obs.L("event", event))
 	}
+	// Prewarm the canonical image configurations the defense catalogue
+	// produces (only ExecStack varies; segment sizes stay at their
+	// defaults), so even the very first cache miss clones instead of
+	// constructing.
+	s.pool.Prewarm(mem.ImageConfig{}, mem.ImageConfig{ExecStack: true})
 	if cfg.Compiled {
-		capacity := cfg.CompiledCacheCapacity
-		if capacity <= 0 {
-			capacity = 256
-		}
-		s.programs = compile.NewCache(capacity)
+		s.programs = compile.NewCache(compiledCacheCapacity)
 	}
 	return s
 }
 
-// Pool exposes the image template pool (nil when disabled). Used by
-// tests to assert template isolation and by tooling to read stats.
+// Pool exposes the image template pool. Used by tests to assert
+// template isolation and by tooling to read stats.
 func (s *Service) Pool() *mem.ImagePool { return s.pool }
 
 // Programs exposes the compiled-program cache (nil when the compiled
-// tier is disabled). The cluster tier calls Evict on it when a
-// worker's shard assignment shrinks; tests use it to assert
+// tier is disabled). Tooling reads its stats; tests use it to assert
 // singleflight compilation and evict-while-executing safety.
 func (s *Service) Programs() *compile.Cache { return s.programs }
 
@@ -382,7 +372,7 @@ func (s *Service) compute(ctx context.Context, n *request, rt *RequestTrace) (*R
 		// every iteration produces the same table and only the aggregate
 		// compute time changes.
 		for i := 0; i < n.Repeat; i++ {
-			t, err := n.exp.Run()
+			t, err := n.exp.Run(experiments.Instrument{})
 			if err != nil {
 				return nil, err
 			}
@@ -419,11 +409,10 @@ func (s *Service) compute(ctx context.Context, n *request, rt *RequestTrace) (*R
 // runScenario executes one attack scenario under its defense config
 // and optional chaos overlay. Everything is request-local — injector,
 // process hook, defense config copy, observers — so scenario requests
-// are safe to run concurrently, unlike the process-global
-// instrumentation seams cmd/pntrace uses. The image template pool is
-// shared, but only through immutable copy-on-write pages: every
-// process clones its address space from a pristine template and copies
-// any page before writing it.
+// are safe to run concurrently. The image template pool is shared, but
+// only through immutable copy-on-write pages: every process clones its
+// address space from a pristine template and copies any page before
+// writing it.
 //
 // execStart is when the worker began this request: the window from it
 // to the first process construction is the clone stage (template clone

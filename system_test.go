@@ -165,7 +165,7 @@ func TestExperimentIndexComplete(t *testing.T) {
 	}
 	ids := map[string]bool{}
 	for _, e := range experiments.All() {
-		tb, err := e.Run()
+		tb, err := e.Run(experiments.Instrument{})
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
