@@ -121,6 +121,31 @@ func BenchmarkE15DefenseMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkMatrixPass runs one scenario's 42 cells (14 defenses × 3 data
+// models) per iteration, cloning images from a shared template pool as
+// the serving tier does. The sub-benchmarks sum to one single-threaded
+// pass over the 1218-cell matrix; docs/perf.md records the split.
+func BenchmarkMatrixPass(b *testing.B) {
+	pool := mem.NewImagePool()
+	for _, s := range attack.Catalog() {
+		b.Run(s.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, d := range defense.Catalog() {
+					for _, m := range []layout.Model{layout.ILP32, layout.ILP32i386, layout.LP64} {
+						cfg := d
+						cfg.Model = m
+						cfg.Pool = pool
+						if _, err := s.Run(cfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkE16Analyzer(b *testing.B) {
 	corpus := analyzer.Corpus()
 	b.ReportAllocs()

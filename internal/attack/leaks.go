@@ -151,7 +151,6 @@ func runDoSLoop(cfg defense.Config) (*Outcome, error) {
 	const baseline = 5
 
 	serve := func(name string, attackN int64) (iters int64, validated bool, placeErr error, callErr error) {
-		validated = false
 		_, err := w.p.DefineFunc(name, []stackm.LocalSpec{
 			{Name: "n", Type: layout.Int},
 			{Name: "stud", Type: w.student},
@@ -184,12 +183,11 @@ func runDoSLoop(cfg defense.Config) (*Outcome, error) {
 			if err != nil {
 				return err
 			}
-			for i := int64(0); i < nv; i++ {
-				iters++
-				if i == baseline-1 {
-					validated = true // the request is validated on the last legit pass
-				}
-			}
+			// for (int i = 0; i < n; i++) { ... } touches no simulated
+			// state, so only its closed form runs: n passes, and the
+			// request is validated on the last legit pass, i == baseline-1.
+			iters = max(nv, 0)
+			validated = nv >= baseline
 			return nil
 		})
 		if err != nil {

@@ -259,16 +259,13 @@ func runVarStack(cfg defense.Config) (*Outcome, error) {
 				return err
 			}
 		}
-		// for (int i = 0; i < n; i++) { ... }
+		// for (int i = 0; i < n; i++) { ... } touches no simulated
+		// state, so only its closed form runs: max(n, 0) passes.
 		nv, err := p.Mem.ReadInt(n.Addr, 4)
 		if err != nil {
 			return err
 		}
-		iters := 0
-		for i := int64(0); i < nv; i++ {
-			iters++
-		}
-		o.Metrics["loop_iterations"] = float64(iters)
+		o.Metrics["loop_iterations"] = float64(max(nv, 0))
 		o.Metrics["n_after"] = float64(nv)
 		return nil
 	}); err != nil {

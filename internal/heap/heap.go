@@ -162,23 +162,25 @@ func NewOnImage(img *mem.Image) (*Allocator, error) {
 
 // header encoding: [payloadSize uint32][magic uint16][reserved uint16]
 func (a *Allocator) writeHeader(h mem.Addr, payload uint64, magic uint16) error {
-	w := func() error {
-		if err := a.m.WriteU32(h, uint32(payload)); err != nil {
-			return err
-		}
-		return a.m.WriteU16(h.Add(4), magic)
+	if a.sh == nil {
+		return a.storeHeader(h, payload, magic)
 	}
-	if a.sh != nil {
-		// The allocator's own metadata stores are exempt from shadow
-		// checking; the header is re-poisoned immediately after, so the
-		// next *program* write into it faults.
-		if err := a.sh.Exempt(w); err != nil {
-			return err
-		}
-		a.sh.PoisonHeader(h, headerSize)
-		return nil
+	// The allocator's own metadata stores are exempt from shadow
+	// checking; the header is re-poisoned immediately after, so the
+	// next *program* write into it faults. The closure is built only
+	// here, so an unsanitized heap walk does not allocate.
+	if err := a.sh.Exempt(func() error { return a.storeHeader(h, payload, magic) }); err != nil {
+		return err
 	}
-	return w()
+	a.sh.PoisonHeader(h, headerSize)
+	return nil
+}
+
+func (a *Allocator) storeHeader(h mem.Addr, payload uint64, magic uint16) error {
+	if err := a.m.WriteU32(h, uint32(payload)); err != nil {
+		return err
+	}
+	return a.m.WriteU16(h.Add(4), magic)
 }
 
 func (a *Allocator) readHeader(h mem.Addr) (payload uint64, magic uint16, err error) {
@@ -259,52 +261,6 @@ func (a *Allocator) AllocTagged(n uint64, tag string) (mem.Addr, error) {
 		h = h.Add(int64(headerSize + payload))
 	}
 	return 0, &OOMError{Requested: n}
-}
-
-// Calloc allocates n zeroed bytes — unlike placement new over a reused
-// arena, freshly calloc'd memory cannot leak previous contents (the §4.3
-// contrast).
-func (a *Allocator) Calloc(n uint64) (mem.Addr, error) {
-	p, err := a.Alloc(n)
-	if err != nil {
-		return 0, err
-	}
-	if err := a.m.Memset(p, 0, n); err != nil {
-		return 0, err
-	}
-	return p, nil
-}
-
-// Realloc resizes the allocation at p to n bytes, moving it if necessary
-// and copying min(old, new) payload bytes. Realloc(0, n) allocates;
-// growth into a fresh block leaves the tail uninitialised, like libc.
-func (a *Allocator) Realloc(p mem.Addr, n uint64) (mem.Addr, error) {
-	if p == 0 {
-		return a.Alloc(n)
-	}
-	oldSize, err := a.SizeOf(p)
-	if err != nil {
-		return 0, err
-	}
-	want := roundPayload(n)
-	if want <= oldSize {
-		return p, nil // shrink in place (block granularity)
-	}
-	np, err := a.Alloc(n)
-	if err != nil {
-		return 0, err
-	}
-	data, err := a.m.Read(p, oldSize)
-	if err != nil {
-		return 0, err
-	}
-	if err := a.m.Write(np, data); err != nil {
-		return 0, err
-	}
-	if err := a.Free(p); err != nil {
-		return 0, err
-	}
-	return np, nil
 }
 
 // Free releases the block whose payload starts at p. It detects invalid

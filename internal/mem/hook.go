@@ -44,11 +44,15 @@ type HookDecision struct {
 // access via the returned decision. It is the seam the chaos layer uses
 // to inject deterministic faults into an otherwise-healthy run.
 //
-// For writes, data is the program's outgoing bytes; for reads it is a
-// copy of the bytes about to be returned. Hooks must not mutate data in
-// place — use Replace. Loader pokes, snapshots, checkpoints, and
-// restores bypass the hook: chaos applies to the simulated program's own
-// accesses, not to the harness's inspection machinery.
+// For writes, data is a copy of the program's outgoing bytes; for reads
+// it is a copy of the bytes about to be returned. Because it is a copy,
+// writing into data changes nothing — neither memory, nor the caller's
+// buffer, nor the value the program reads; alter the access with
+// Replace. The copy is made only while a hook is armed, so the scalar
+// accessors stay allocation-free without one. Loader pokes, snapshots,
+// checkpoints, and restores bypass the hook: chaos applies to the
+// simulated program's own accesses, not to the harness's inspection
+// machinery.
 type AccessHook func(kind AccessKind, addr Addr, data []byte) HookDecision
 
 // SetAccessHook installs hook on the read/write path. Pass nil to

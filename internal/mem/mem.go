@@ -13,6 +13,7 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -273,6 +274,16 @@ func (m *Memory) CheckRange(addr Addr, n uint64, perm Perm) error {
 
 // Read copies n bytes starting at addr into a fresh slice.
 func (m *Memory) Read(addr Addr, n uint64) ([]byte, error) {
+	return m.load(addr, n, nil)
+}
+
+// load is the one checked read path. It copies the n bytes at addr into
+// dst, or into a fresh slice when dst is nil, and returns them (or the
+// hook's replacement). The scalar readers pass a stack array as dst, so
+// they do not allocate; Read's slice is made only after the mapping and
+// permission checks pass. An armed hook sees a copy, so it cannot reach
+// the caller's buffer.
+func (m *Memory) load(addr Addr, n uint64, dst []byte) ([]byte, error) {
 	s, f := m.seg(addr, n)
 	if f != nil {
 		return nil, f
@@ -283,22 +294,26 @@ func (m *Memory) Read(addr Addr, n uint64) ([]byte, error) {
 	if m.obs != nil {
 		m.obs(AccessRead, addr, n)
 	}
-	out := make([]byte, n)
-	s.readRaw(uint64(addr.Diff(s.Base)), out)
+	if dst == nil {
+		dst = make([]byte, n)
+	}
+	s.readRaw(uint64(addr.Diff(s.Base)), dst)
 	if m.hook != nil {
-		switch d := m.hook(AccessRead, addr, out); {
+		switch d := m.hook(AccessRead, addr, bytes.Clone(dst)); {
 		case d.Fault != nil:
 			return nil, d.Fault
 		case d.Replace != nil:
 			return d.Replace, nil
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Write copies b into memory at addr, honouring permissions, the
 // sanitizer, guard regions and the access hook. With a write logger
 // installed the old bytes are captured before the write for tracing.
+// b is not retained: an armed hook sees a copy, so the scalar writers
+// can pass stack arrays.
 func (m *Memory) Write(addr Addr, b []byte) error {
 	n := uint64(len(b))
 	s, f := m.seg(addr, n)
@@ -323,7 +338,7 @@ func (m *Memory) Write(addr Addr, b []byte) error {
 		return f
 	}
 	if m.hook != nil {
-		switch d := m.hook(AccessWrite, addr, b); {
+		switch d := m.hook(AccessWrite, addr, bytes.Clone(b)); {
 		case d.Fault != nil:
 			return d.Fault
 		case d.Drop:
@@ -389,7 +404,8 @@ func (m *Memory) Memset(addr Addr, v byte, n uint64) error {
 
 // ReadU8 reads one byte.
 func (m *Memory) ReadU8(addr Addr) (uint8, error) {
-	b, err := m.Read(addr, 1)
+	var buf [1]byte
+	b, err := m.load(addr, 1, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -401,7 +417,8 @@ func (m *Memory) WriteU8(addr Addr, v uint8) error { return m.Write(addr, []byte
 
 // ReadU16 reads a little-endian uint16.
 func (m *Memory) ReadU16(addr Addr) (uint16, error) {
-	b, err := m.Read(addr, 2)
+	var buf [2]byte
+	b, err := m.load(addr, 2, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -415,7 +432,8 @@ func (m *Memory) WriteU16(addr Addr, v uint16) error {
 
 // ReadU32 reads a little-endian uint32.
 func (m *Memory) ReadU32(addr Addr) (uint32, error) {
-	b, err := m.Read(addr, 4)
+	var buf [4]byte
+	b, err := m.load(addr, 4, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -429,7 +447,8 @@ func (m *Memory) WriteU32(addr Addr, v uint32) error {
 
 // ReadU64 reads a little-endian uint64.
 func (m *Memory) ReadU64(addr Addr) (uint64, error) {
-	b, err := m.Read(addr, 8)
+	var buf [8]byte
+	b, err := m.load(addr, 8, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -442,11 +461,11 @@ func (m *Memory) ReadU64(addr Addr) (uint64, error) {
 
 // WriteU64 writes a little-endian uint64.
 func (m *Memory) WriteU64(addr Addr, v uint64) error {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
+	var b [8]byte
+	for i := range b {
 		b[i] = byte(v >> (8 * i))
 	}
-	return m.Write(addr, b)
+	return m.Write(addr, b[:])
 }
 
 // ReadUint reads an unsigned integer of the given byte width (1, 2, 4, 8).
