@@ -60,13 +60,3 @@ type Pos struct {
 }
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
-
-var keywords = map[string]bool{
-	"class": true, "public": true, "private": true, "protected": true,
-	"virtual": true, "new": true, "delete": true, "return": true,
-	"if": true, "else": true, "while": true, "for": true,
-	"break": true, "continue": true,
-	"bool": true, "char": true, "short": true, "int": true, "long": true,
-	"float": true, "double": true, "void": true, "unsigned": true,
-	"true": true, "false": true, "sizeof": true, "struct": true,
-}

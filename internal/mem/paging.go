@@ -30,8 +30,15 @@ const (
 // two processes cloned from one template may copy-on-write (and thus
 // release) the same shared page concurrently. Everything else about a
 // Memory remains single-threaded, as documented on the type.
+//
+// The count is 64-bit because a clone that is garbage collected never
+// gives its references back: every template page a clone leaves
+// unwritten keeps one more reference per clone for as long as the pool
+// serves. A 32-bit count wraps negative after 2³¹ clones, shared()
+// turns false, and the next clone to write the page writes into the
+// template.
 type page struct {
-	refs atomic.Int32
+	refs atomic.Int64
 	data [PageSize]byte
 }
 
