@@ -195,19 +195,29 @@ func Catalog() []Scenario {
 	}
 }
 
+// byID indexes the catalogue by scenario ID and knownIDs lists the IDs
+// sorted, for the unknown-ID error. Both are built once and only read:
+// ByID is on every scenario request's path.
+var byID, knownIDs = indexCatalog()
+
+func indexCatalog() (map[string]Scenario, []string) {
+	cat := Catalog()
+	index := make(map[string]Scenario, len(cat))
+	ids := make([]string, 0, len(cat))
+	for _, s := range cat {
+		index[s.ID] = s
+		ids = append(ids, s.ID)
+	}
+	sort.Strings(ids)
+	return index, ids
+}
+
 // ByID resolves a scenario by its short name.
 func ByID(id string) (Scenario, error) {
-	for _, s := range Catalog() {
-		if s.ID == id {
-			return s, nil
-		}
+	if s, ok := byID[id]; ok {
+		return s, nil
 	}
-	var known []string
-	for _, s := range Catalog() {
-		known = append(known, s.ID)
-	}
-	sort.Strings(known)
-	return Scenario{}, fmt.Errorf("attack: unknown scenario %q (known: %v)", id, known)
+	return Scenario{}, fmt.Errorf("attack: unknown scenario %q (known: %v)", id, knownIDs)
 }
 
 // RunAll executes every scenario under cfg.

@@ -41,9 +41,14 @@ func TestCatalogIntegrity(t *testing.T) {
 		if !strings.HasPrefix(s.Ref, "§") {
 			t.Errorf("scenario %s ref %q lacks section citation", s.ID, s.Ref)
 		}
+		if got, err := ByID(s.ID); err != nil || got.ID != s.ID || got.Ref != s.Ref || got.Title != s.Title {
+			t.Errorf("ByID(%q) = %+v, %v; want the catalogue entry", s.ID, got, err)
+		}
 	}
-	if _, err := ByID("no-such"); err == nil {
-		t.Error("unknown id resolved")
+	_, err := ByID("no-such")
+	const want = `attack: unknown scenario "no-such" (known: [arc-injection array-2step-bss array-2step-stack bss-overflow canary-skip code-injection construct-overflow dangling-write dos-exhaust dos-loop funcptr heap-overflow indirect-overflow infoleak-array infoleak-object internal-overflow member-var memleak remote-array remote-overflow stack-ret type-confusion var-bss var-stack varptr vptr-bss vptr-crash vptr-multi vptr-stack])`
+	if err == nil || err.Error() != want {
+		t.Errorf("ByID(no-such) error = %v, want %s", err, want)
 	}
 }
 

@@ -154,6 +154,46 @@ func TestRouterSingleflightCollapsesSameKey(t *testing.T) {
 	}
 }
 
+// TestRouterBodiesFramedLikeWorkers: a coalesced follower's body is its
+// leader's with only the cache token changed, and an error the router
+// answers itself is the body a worker gives for the same error.
+func TestRouterBodiesFramedLikeWorkers(t *testing.T) {
+	f := testFleet(t, 1)
+	post := func(base, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(base+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, b
+	}
+
+	code, leader := post(f.WorkerURL(0), `{"scenario":"vptr-stack","defense":"stackguard"}`)
+	if code != http.StatusOK {
+		t.Fatalf("worker /run = %d: %s", code, leader)
+	}
+	follower := followerCopy(&rflight{status: code, body: leader}).body
+	want := bytes.Replace(leader, []byte(`"cache": "miss"`), []byte(`"cache": "coalesced"`), 1)
+	if bytes.Equal(want, leader) {
+		t.Fatalf("leader body has no miss token:\n%s", leader)
+	}
+	if !bytes.Equal(follower, want) {
+		t.Fatalf("follower body:\n%q\nwant the leader's with cache coalesced:\n%q", follower, want)
+	}
+
+	const bad = `{"scenario":"no-such-attack"}`
+	wcode, wbody := post(f.WorkerURL(0), bad)
+	rcode, rbody := post(f.URL(), bad)
+	if wcode != http.StatusBadRequest || rcode != wcode || !bytes.Equal(rbody, wbody) {
+		t.Fatalf("router %d %q, worker %d %q: want one 400 body", rcode, rbody, wcode, wbody)
+	}
+}
+
 func TestDrainMigratesShardByCloning(t *testing.T) {
 	f := testFleet(t, 3)
 

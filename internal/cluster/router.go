@@ -185,7 +185,8 @@ type routed struct {
 }
 
 func routedError(code int, msg string, rej *service.Rejection) *routed {
-	b, _ := json.MarshalIndent(serve.ErrorResponse{Error: msg, Code: code, Reject: rej}, "", "  ")
+	// An ErrorResponse of strings, ints and a Rejection always encodes.
+	b, _ := serve.EncodeJSON(serve.ErrorResponse{Error: msg, Code: code, Reject: rej})
 	h := http.Header{}
 	if rej != nil {
 		h.Set("Retry-After", strconv.FormatInt((rej.RetryAfterMS+999)/1000, 10))
@@ -293,7 +294,7 @@ func followerCopy(f *rflight) *routed {
 		return out
 	}
 	env.Cache = service.CacheCoalesced
-	if b, err := json.MarshalIndent(env, "", "  "); err == nil {
+	if b, err := serve.EncodeJSON(env); err == nil {
 		out.body = b
 	}
 	return out

@@ -19,7 +19,10 @@ import (
 	"repro/internal/service"
 )
 
-// RunResponse is the /run success envelope.
+// RunResponse is the /run success envelope. EncodeJSON appends the
+// envelope fields by hand after the Result's encoding, so a field added
+// here must be added there too; TestRunResponseMatchesEncoder fails
+// until it is.
 type RunResponse struct {
 	*service.Result
 	// Cache is hit, miss, coalesced, cloned, or bypass.
@@ -350,7 +353,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    status,
-		"uptime_ms": time.Since(s.started).Milliseconds(),
+		"uptime_ms": time.Since(s.wallStart).Milliseconds(),
 	})
 }
 
@@ -373,7 +376,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		Status:    "ready",
 		Draining:  s.draining.Load(),
 		Saturated: s.svc.Scheduler().Limiter().Saturated(),
-		UptimeMS:  time.Since(s.started).Milliseconds(),
+		UptimeMS:  time.Since(s.wallStart).Milliseconds(),
 	}
 	code := http.StatusOK
 	switch {
@@ -410,13 +413,4 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, res)
-}
-
-// WriteJSON writes v as indented JSON with status code.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -86,7 +86,12 @@ type Server struct {
 	reg      *obs.Registry
 	draining atomic.Bool
 	now      func() time.Time
-	started  time.Time
+	started  time.Time // on the now clock, for the uptime metric
+	// wallStart is the wall-clock start /healthz and /readyz report
+	// uptime from. They never read the now clock: under Deterministic it
+	// is virtual (it starts at the epoch), and each read advances it, so
+	// readiness polls would perturb the /watch stream.
+	wallStart time.Time
 }
 
 // NewServer builds a Server and starts its worker pool.
@@ -127,8 +132,9 @@ func NewServer(cfg Config) *Server {
 			PeerFetch:       peerFetch,
 			Compiled:        cfg.Compiled,
 		}),
-		reg: reg,
-		now: now,
+		reg:       reg,
+		now:       now,
+		wallStart: time.Now(),
 	}
 	s.started = s.now()
 	reg.Set(obs.MetricBuildInfo, 1,

@@ -331,19 +331,35 @@ func TestRunWatchRaceStress(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Service().Drain() })
 
-	var wg sync.WaitGroup
+	// A subscriber sees only events published after it attaches, so one
+	// that attaches after the last run would wait forever for its 20
+	// lines: every watch is closed once the runs are done.
+	runsDone := make(chan struct{})
+	var watchers sync.WaitGroup
 	for c := 0; c < 3; c++ {
-		wg.Add(1)
+		watchers.Add(1)
 		go func() {
-			defer wg.Done()
+			defer watchers.Done()
 			for r := 0; r < 3; r++ {
 				sc, closeWatch := openWatch(t, ts.URL, "", nil)
+				read, stopped := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(stopped)
+					select {
+					case <-runsDone:
+						closeWatch()
+					case <-read:
+					}
+				}()
 				for i := 0; i < 20 && sc.Scan(); i++ {
 				}
+				close(read)
+				<-stopped
 				closeWatch()
 			}
 		}()
 	}
+	var wg sync.WaitGroup
 	scenarios := []string{"bss-overflow", "stack-ret", "heap-overflow"}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -362,16 +378,25 @@ func TestRunWatchRaceStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(runsDone)
+	watchers.Wait()
 
 	// The watch bus health metrics exist and the subscriber gauge has
-	// returned to zero.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// returned to zero. A handler learns that its client left only
+	// after the client has closed, so the gauge is polled.
+	var text string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		text = string(raw)
+		if strings.Contains(text, "pn_serve_watch_subscribers 0") || time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	text := string(raw)
 	for _, want := range []string{"pn_serve_watch_subscribers 0", "pn_build_info", "pn_serve_uptime_seconds"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/attack"
 	"repro/internal/chaos"
@@ -236,14 +237,23 @@ func faultsOrAll(s string) string {
 	return s
 }
 
+// defenses indexes the defense catalogue by name. It is built once and
+// only read: the lookup is on every scenario request's path.
+var defenses = func() map[string]defense.Config {
+	cat := defense.Catalog()
+	m := make(map[string]defense.Config, len(cat))
+	for _, c := range cat {
+		m[c.Name] = c
+	}
+	return m
+}()
+
 func defenseByName(name string) (defense.Config, error) {
 	if name == "" {
 		return defense.None, nil
 	}
-	for _, c := range defense.Catalog() {
-		if c.Name == name {
-			return c, nil
-		}
+	if c, ok := defenses[name]; ok {
+		return c, nil
 	}
 	return defense.Config{}, badRequestf("unknown defense %q", name)
 }
@@ -319,6 +329,26 @@ type Result struct {
 	ComputeNS int64 `json:"compute_ns"`
 	// Version is the CodeVersion that computed the result.
 	Version string `json:"code_version"`
+
+	// encoded is a write-once slot for the result's wire encoding, which
+	// the wire layer (serve) owns: it keeps an encoding here once the
+	// result is served from the cache, and every later hit copies it.
+	encoded atomic.Pointer[[]byte]
+}
+
+// Encoded returns the encoding kept by KeepEncoded, or nil.
+func (r *Result) Encoded() []byte {
+	if p := r.encoded.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// KeepEncoded stores b as r's encoding unless one is already kept.
+// Results are immutable once stored, so concurrent callers encode the
+// same bytes and either may win.
+func (r *Result) KeepEncoded(b []byte) {
+	r.encoded.CompareAndSwap(nil, &b)
 }
 
 // outcomeTable renders an attack outcome as a small report table so
