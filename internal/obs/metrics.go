@@ -165,19 +165,24 @@ func NewRegistry() *Registry { return &Registry{families: make(map[string]*famil
 
 // Describe declares a family's help text and type before first use.
 // For histograms, buckets are the upper bounds (ascending); nil selects
-// DefaultBuckets. Describing an existing family only updates its help.
+// DefaultBuckets. Describing an existing family only updates its help:
+// its type and buckets stay, because its series already count into
+// them.
 func (r *Registry) Describe(name, help string, typ MetricType, buckets ...float64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.family(name, typ)
-	f.help = help
-	if typ == TypeHistogram && len(buckets) > 0 {
-		f.buckets = append([]float64(nil), buckets...)
-		sort.Float64s(f.buckets)
+	f, ok := r.families[name]
+	if !ok {
+		f = r.family(name, typ)
+		if typ == TypeHistogram && len(buckets) > 0 {
+			f.buckets = append([]float64(nil), buckets...)
+			sort.Float64s(f.buckets)
+		}
 	}
+	f.help = help
 }
 
 func (r *Registry) family(name string, typ MetricType) *family {
@@ -192,30 +197,52 @@ func (r *Registry) family(name string, typ MetricType) *family {
 	return f
 }
 
-func signature(labels []Label) string {
-	var sb strings.Builder
+// stackLabels and stackSignature size the stack buffers a lookup sorts
+// labels and writes signatures in; every label set in this repository
+// fits. A larger one still works: append moves it to the heap.
+const (
+	stackLabels    = 8
+	stackSignature = 256
+)
+
+// appendSignature appends the series key of labels, which are sorted
+// by key: key\x01value\x00 per label.
+func appendSignature(b []byte, labels []Label) []byte {
 	for _, l := range labels {
-		sb.WriteString(l.Key)
-		sb.WriteByte(1)
-		sb.WriteString(l.Value)
-		sb.WriteByte(0)
+		b = append(b, l.Key...)
+		b = append(b, 1)
+		b = append(b, l.Value...)
+		b = append(b, 0)
 	}
-	return sb.String()
+	return b
 }
 
-func (f *family) at(labels []Label) *series {
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	sig := signature(ls)
-	s, ok := f.series[sig]
-	if !ok {
-		s = &series{labels: ls}
-		if f.typ == TypeHistogram {
-			s.bucketN = make([]uint64, len(f.buckets))
+// lookup finds the series of labels, given in any order. When create
+// is set it adds a missing series; otherwise it returns nil. The labels
+// are sorted and the signature written in stack buffers, and the map is
+// indexed by the buffer itself, so finding an existing series does not
+// allocate; only a new series copies its labels and signature.
+func (f *family) lookup(labels []Label, create bool) *series {
+	var lbuf [stackLabels]Label
+	ls := append(lbuf[:0], labels...)
+	// Insertion sort is stable: repeated keys keep the order given.
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
 		}
-		f.series[sig] = s
-		f.order = append(f.order, sig)
 	}
+	var sbuf [stackSignature]byte
+	sig := appendSignature(sbuf[:0], ls)
+	if s, ok := f.series[string(sig)]; ok || !create {
+		return s
+	}
+	s := &series{labels: append([]Label(nil), ls...)}
+	if f.typ == TypeHistogram {
+		s.bucketN = make([]uint64, len(f.buckets))
+	}
+	key := string(sig)
+	f.series[key] = s
+	f.order = append(f.order, key)
 	return s
 }
 
@@ -229,7 +256,7 @@ func (r *Registry) Add(name string, v float64, labels ...Label) {
 		return
 	}
 	r.mu.Lock()
-	r.family(name, TypeCounter).at(labels).value += v
+	r.family(name, TypeCounter).lookup(labels, true).value += v
 	r.mu.Unlock()
 }
 
@@ -239,7 +266,7 @@ func (r *Registry) Set(name string, v float64, labels ...Label) {
 		return
 	}
 	r.mu.Lock()
-	r.family(name, TypeGauge).at(labels).value = v
+	r.family(name, TypeGauge).lookup(labels, true).value = v
 	r.mu.Unlock()
 }
 
@@ -250,7 +277,7 @@ func (r *Registry) Observe(name string, v float64, labels ...Label) {
 	}
 	r.mu.Lock()
 	f := r.family(name, TypeHistogram)
-	s := f.at(labels)
+	s := f.lookup(labels, true)
 	for i, ub := range f.buckets {
 		if v <= ub {
 			s.bucketN[i]++
@@ -274,10 +301,8 @@ func (r *Registry) Value(name string, labels ...Label) float64 {
 	if !ok {
 		return 0
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	s, ok := f.series[signature(ls)]
-	if !ok {
+	s := f.lookup(labels, false)
+	if s == nil {
 		return 0
 	}
 	if f.typ == TypeHistogram {

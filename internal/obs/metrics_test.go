@@ -34,6 +34,72 @@ func TestLabelOrderInsensitive(t *testing.T) {
 	if got := r.Value("m", L("b", "2"), L("a", "1")); got != 2 {
 		t.Errorf("label order split the series: %g, want 2", got)
 	}
+
+	a, b, c := L("a", "1"), L("b", "2"), L("c", "3")
+	orders := [][]Label{{a, b, c}, {a, c, b}, {b, a, c}, {b, c, a}, {c, a, b}, {c, b, a}}
+	for _, ls := range orders {
+		r.Inc("three", ls...)
+	}
+	for _, ls := range orders {
+		if got := r.Value("three", ls...); got != 6 {
+			t.Errorf("Value%v = %g, want 6", ls, got)
+		}
+	}
+	if exp, want := r.Exposition(), "three{a=\"1\",b=\"2\",c=\"3\"} 6\n"; !strings.Contains(exp, want) ||
+		strings.Count(exp, "three{") != 1 {
+		t.Errorf("six orders of one label set did not render as one series %q:\n%s", want, exp)
+	}
+}
+
+// TestRegistryUpdatesDoNotAllocate: updating a series that already
+// exists allocates nothing, whatever order its labels come in, so the
+// serving path's per-request counters and histograms cost no garbage.
+func TestRegistryUpdatesDoNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	r.Describe("h", "latency", TypeHistogram, 1, 5, 25)
+	a, b, c := L("a", "x"), L("b", "y"), L("c", "z")
+	for _, ls := range [][]Label{nil, {a}, {a, b}, {b, a}, {a, b, c}, {c, a, b}, {b, c, a}} {
+		ops := []struct {
+			name string
+			f    func()
+		}{
+			{"Inc", func() { r.Inc("c", ls...) }},
+			{"Add", func() { r.Add("c", 2, ls...) }},
+			{"Set", func() { r.Set("g", 3, ls...) }},
+			{"Observe", func() { r.Observe("h", 4, ls...) }},
+		}
+		for _, op := range ops {
+			op.f() // the first update creates the series
+			if allocs := testing.AllocsPerRun(100, op.f); allocs != 0 {
+				t.Errorf("%s%v: %v allocations per update, want 0", op.name, ls, allocs)
+			}
+		}
+	}
+	// The call sites' variadic labels stay on their stacks too.
+	if allocs := testing.AllocsPerRun(100, func() { r.Inc("c", L("b", "y"), L("a", "x")) }); allocs != 0 {
+		t.Errorf("Inc with literal labels: %v allocations per update, want 0", allocs)
+	}
+}
+
+// TestDescribeKeepsExistingBuckets: describing a histogram that already
+// has series only sets its help. Re-bucketing it left the series with
+// the old number of bucket counters, and the next Observe past them
+// indexed out of range.
+func TestDescribeKeepsExistingBuckets(t *testing.T) {
+	r := NewRegistry()
+	r.Observe("h", 3000)
+	r.Describe("h", "late help", TypeHistogram, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000)
+	r.Observe("h", 3000)
+	exp := r.Exposition()
+	want := []string{"# HELP h late help", `h_bucket{le="4096"} 2`, `h_bucket{le="+Inf"} 2`, "h_count 2"}
+	for _, w := range want {
+		if !strings.Contains(exp, w) {
+			t.Errorf("exposition missing %q:\n%s", w, exp)
+		}
+	}
+	if strings.Contains(exp, `le="5000"`) {
+		t.Errorf("an existing histogram took the described buckets:\n%s", exp)
+	}
 }
 
 func TestGauge(t *testing.T) {

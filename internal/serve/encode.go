@@ -32,9 +32,10 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // writes after SetIndent("", "  "). Every JSON body of the serving tier
 // is framed by it, the cluster router's included.
 //
-// A RunResponse takes a fast path: its Result's indented encoding —
-// kept on the Result once it is served from the cache — followed by
-// the envelope fields, appended without reflection or a re-indent pass.
+// A RunResponse takes a fast path with no reflection and no re-indent
+// pass: its Result is written by appendResult, or copied from the
+// encoding kept on it once it is served from the cache, and the
+// envelope fields follow.
 func EncodeJSON(v any) ([]byte, error) {
 	if r, ok := v.(RunResponse); ok {
 		return encodeRun(r)
@@ -57,29 +58,27 @@ func encodeIndented(v any) ([]byte, error) {
 // usually served once, and keeping its bytes would hold heap nobody
 // reads again.
 func encodeRun(v RunResponse) ([]byte, error) {
-	var res, b []byte
+	envelope := 128 + 48*len(v.Stages)
+	var b []byte
 	if v.Result != nil {
-		if res = v.Result.Encoded(); res == nil {
-			var err error
-			if res, err = json.MarshalIndent(v.Result, "", "  "); err != nil {
-				return nil, err
-			}
-			if v.Cache == service.CacheHit || v.Cache == service.CacheCoalesced {
-				v.Result.KeepEncoded(res)
-			} else {
-				// Not kept: the envelope extends the encoding in place.
-				b = append(res[:len(res)-len("\n}")], ',')
-			}
+		res := v.Result.Encoded()
+		if res == nil && !finiteResult(v.Result) {
+			// Unencodable: the reflective encoder reports the error.
+			return encodeIndented(v)
 		}
-	}
-	if b == nil {
-		b = make([]byte, 0, len(res)+128+48*len(v.Stages))
+		if res == nil && (v.Cache == service.CacheHit || v.Cache == service.CacheCoalesced) {
+			res = appendResult(make([]byte, 0, resultSize(v.Result)), v.Result)
+			v.Result.KeepEncoded(res)
+		}
 		if res == nil {
-			b = append(b, '{')
+			// Not kept: the envelope extends the encoding in place.
+			b = appendResult(make([]byte, 0, resultSize(v.Result)+envelope), v.Result)
 		} else {
-			b = append(b, res[:len(res)-len("\n}")]...)
-			b = append(b, ',')
+			b = append(make([]byte, 0, len(res)+envelope), res...)
 		}
+		b = append(b[:len(b)-len("\n}")], ',')
+	} else {
+		b = append(make([]byte, 0, envelope), '{')
 	}
 	b = append(b, "\n  \"cache\": "...)
 	b = appendString(b, v.Cache)
@@ -88,28 +87,185 @@ func encodeRun(v RunResponse) ([]byte, error) {
 	b = append(b, ",\n  \"trace_id\": "...)
 	b = appendString(b, v.TraceID)
 	if len(v.Stages) > 0 {
-		keys := make([]string, 0, len(v.Stages))
-		for k, ms := range v.Stages {
-			if math.IsNaN(ms) || math.IsInf(ms, 0) {
-				// Unencodable: the reflective encoder reports the error.
+		for _, ms := range v.Stages {
+			if !finite(ms) {
 				return encodeIndented(v)
 			}
-			keys = append(keys, k)
 		}
-		sort.Strings(keys)
-		b = append(b, ",\n  \"stages\": {"...)
-		for i, k := range keys {
+		b = append(b, ",\n  \"stages\": "...)
+		b = appendFloats(b, v.Stages, "  ")
+	}
+	return append(b, "\n}\n"...), nil
+}
+
+// appendResult appends r as json.MarshalIndent(r, "", "  ") writes it:
+// the fields in struct order, an omitempty field left out when it is
+// empty, a nil slice as null and an empty one as [], map keys sorted.
+// Every float in r must be finite (finiteResult). A field added to
+// service.Result or report.TableData must be added here too;
+// TestResultEncoderCoversEveryField fails until it is.
+func appendResult(b []byte, r *service.Result) []byte {
+	b = append(b, "{\n  \"key\": "...)
+	b = appendString(b, r.Key)
+	b = append(b, ",\n  \"kind\": "...)
+	b = appendString(b, r.Kind)
+	b = append(b, ",\n  \"id\": "...)
+	b = appendString(b, r.ID)
+	if r.Defense != "" {
+		b = append(b, ",\n  \"defense\": "...)
+		b = appendString(b, r.Defense)
+	}
+	if r.Model != "" {
+		b = append(b, ",\n  \"model\": "...)
+		b = appendString(b, r.Model)
+	}
+	if r.Seed != 0 {
+		b = append(b, ",\n  \"seed\": "...)
+		b = strconv.AppendInt(b, r.Seed, 10)
+	}
+	if r.ChaosProb != 0 {
+		b = append(b, ",\n  \"chaos_prob\": "...)
+		b = appendFloat(b, r.ChaosProb)
+	}
+	if r.Faults != "" {
+		b = append(b, ",\n  \"faults\": "...)
+		b = appendString(b, r.Faults)
+	}
+	if r.Repeat != 0 {
+		b = append(b, ",\n  \"repeat\": "...)
+		b = strconv.AppendInt(b, int64(r.Repeat), 10)
+	}
+	b = append(b, ",\n  \"status\": "...)
+	b = appendString(b, r.Status)
+	b = append(b, ",\n  \"table\": {\n    \"title\": "...)
+	b = appendString(b, r.Table.Title)
+	b = append(b, ",\n    \"headers\": "...)
+	b = appendStrings(b, r.Table.Headers, "    ")
+	b = append(b, ",\n    \"rows\": "...)
+	switch rows := r.Table.Rows; {
+	case rows == nil:
+		b = append(b, "null"...)
+	case len(rows) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i, row := range rows {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = append(b, "\n    "...)
-			b = appendString(b, k)
-			b = append(b, ": "...)
-			b = appendFloat(b, v.Stages[k])
+			b = append(b, "\n      "...)
+			b = appendStrings(b, row, "      ")
 		}
-		b = append(b, "\n  }"...)
+		b = append(b, "\n    ]"...)
 	}
-	return append(b, "\n}\n"...), nil
+	b = append(b, "\n  }"...)
+	if len(r.Details) > 0 {
+		b = append(b, ",\n  \"details\": "...)
+		b = appendStrings(b, r.Details, "  ")
+	}
+	if len(r.Metrics) > 0 {
+		b = append(b, ",\n  \"metrics\": "...)
+		b = appendFloats(b, r.Metrics, "  ")
+	}
+	if r.InjectedFaults != 0 {
+		b = append(b, ",\n  \"injected_faults\": "...)
+		b = strconv.AppendInt(b, int64(r.InjectedFaults), 10)
+	}
+	b = append(b, ",\n  \"compute_ns\": "...)
+	b = strconv.AppendInt(b, r.ComputeNS, 10)
+	b = append(b, ",\n  \"code_version\": "...)
+	b = appendString(b, r.Version)
+	return append(b, "\n}"...)
+}
+
+// resultSize estimates the length of r's encoding, to size its buffer:
+// every string as if it needed no escaping, plus the punctuation and
+// indentation around it. Results of the matrix encode to 95–100% of it.
+func resultSize(r *service.Result) int {
+	n := 256 + len(r.Key) + len(r.Kind) + len(r.ID) + len(r.Defense) + len(r.Model) +
+		len(r.Faults) + len(r.Status) + len(r.Table.Title) + len(r.Version)
+	for _, h := range r.Table.Headers {
+		n += len(h) + 10
+	}
+	for _, row := range r.Table.Rows {
+		n += 16
+		for _, c := range row {
+			n += len(c) + 12
+		}
+	}
+	for _, d := range r.Details {
+		n += len(d) + 8
+	}
+	for k := range r.Metrics {
+		n += len(k) + 16
+	}
+	return n
+}
+
+// finiteResult reports whether encoding/json can encode r: the only
+// values of a Result it refuses are NaN and infinite floats.
+func finiteResult(r *service.Result) bool {
+	if !finite(r.ChaosProb) {
+		return false
+	}
+	for _, v := range r.Metrics {
+		if !finite(v) {
+			return false
+		}
+	}
+	return true
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// appendStrings appends ss as an indented JSON array whose closing
+// bracket sits at indent.
+func appendStrings(b []byte, ss []string, indent string) []byte {
+	if ss == nil {
+		return append(b, "null"...)
+	}
+	if len(ss) == 0 {
+		return append(b, "[]"...)
+	}
+	b = append(b, '[')
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '\n')
+		b = append(b, indent...)
+		b = append(b, "  "...)
+		b = appendString(b, s)
+	}
+	b = append(b, '\n')
+	b = append(b, indent...)
+	return append(b, ']')
+}
+
+// appendFloats appends a non-empty map of finite floats as an indented
+// JSON object with sorted keys whose closing brace sits at indent.
+func appendFloats(b []byte, m map[string]float64, indent string) []byte {
+	var kbuf [16]string // more keys than any Result or stage map has
+	keys := kbuf[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '\n')
+		b = append(b, indent...)
+		b = append(b, "  "...)
+		b = appendString(b, k)
+		b = append(b, ": "...)
+		b = appendFloat(b, m[k])
+	}
+	b = append(b, '\n')
+	b = append(b, indent...)
+	return append(b, '}')
 }
 
 // appendString appends s as a JSON string. Printable ASCII that

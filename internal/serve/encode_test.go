@@ -16,6 +16,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/defense"
 	"repro/internal/layout"
+	"repro/internal/report"
 	"repro/internal/service"
 )
 
@@ -178,6 +179,157 @@ func FuzzRunResponseMatchesEncoder(f *testing.F) {
 		case 2:
 			v.Result = warm
 		}
+		want, werr := referenceJSON(v)
+		got, gerr := EncodeJSON(v)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("errors differ: fast %v, reference %v", gerr, werr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("bodies differ:\ngot  %q\nwant %q", got, want)
+		}
+	})
+}
+
+// fieldValues returns the values TestResultEncoderCoversEveryField sets
+// a field of type typ to, or fails for a kind it has none for: a field
+// of a new kind needs values here and code in appendResult.
+func fieldValues(t *testing.T, name string, typ reflect.Type) []reflect.Value {
+	t.Helper()
+	var out []reflect.Value
+	switch typ.Kind() {
+	case reflect.String:
+		for _, s := range []string{"plain", "a<b>&c", "line\u2028sep", "lone\xff"} {
+			out = append(out, reflect.ValueOf(s).Convert(typ))
+		}
+	case reflect.Int, reflect.Int64:
+		for _, n := range []int64{1, -7, 1 << 40} {
+			v := reflect.New(typ).Elem()
+			v.SetInt(n)
+			out = append(out, v)
+		}
+	case reflect.Float64:
+		for _, f := range []float64{math.Copysign(0, -1), 1e-7, 1e21, 0.1} {
+			out = append(out, reflect.ValueOf(f).Convert(typ))
+		}
+	case reflect.Slice:
+		elems := fieldValues(t, name, typ.Elem())
+		out = append(out, reflect.Zero(typ), reflect.MakeSlice(typ, 0, 0),
+			reflect.Append(reflect.MakeSlice(typ, 0, len(elems)), elems...))
+	case reflect.Map:
+		if typ.Key().Kind() != reflect.String {
+			t.Fatalf("%s: map key kind %s has no test values", name, typ.Key().Kind())
+		}
+		keys := fieldValues(t, name, typ.Key())
+		vals := fieldValues(t, name, typ.Elem())
+		full := reflect.MakeMap(typ)
+		for i, v := range vals {
+			full.SetMapIndex(keys[i%len(keys)], v)
+			full.SetMapIndex(reflect.ValueOf("k"+strconv.Itoa(i)).Convert(typ.Key()), v)
+		}
+		out = append(out, reflect.Zero(typ), reflect.MakeMap(typ), full)
+	default:
+		t.Fatalf("%s: kind %s has no test values; teach appendResult and fieldValues the new field", name, typ.Kind())
+	}
+	return out
+}
+
+// checkResultEncoding holds r's /run body, as a miss and as a hit that
+// keeps its encoding, equal to the reference encoder's.
+func checkResultEncoding(t *testing.T, what string, r *service.Result) {
+	t.Helper()
+	want, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	for _, tok := range []string{service.CacheMiss, service.CacheHit} {
+		v := RunResponse{Result: freshResult(r), Cache: tok, ServeNS: 1, TraceID: "t-1"}
+		ref, err := referenceJSON(v)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		got, err := EncodeJSON(v)
+		if err != nil || !bytes.Equal(got, ref) {
+			t.Fatalf("%s as %s (err %v):\ngot  %q\nwant %q", what, tok, err, got, ref)
+		}
+		if kept := v.Result.Encoded(); tok == service.CacheHit && !bytes.Equal(kept, want) {
+			t.Fatalf("%s: kept encoding\n%q\nwant %q", what, kept, want)
+		}
+	}
+}
+
+// TestResultEncoderCoversEveryField sets each exported field of
+// service.Result, and of the report.TableData inside it, in turn to
+// each of its test values, then all of them at once, and holds
+// appendResult to encoding/json on every one. A field appendResult
+// does not write fails here; so does a field of a kind with no test
+// values.
+func TestResultEncoderCoversEveryField(t *testing.T) {
+	typ := reflect.TypeOf(service.Result{})
+	var paths [][]int
+	var walk func(reflect.Type, []int)
+	walk = func(st reflect.Type, prefix []int) {
+		for i := 0; i < st.NumField(); i++ {
+			f := st.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			path := append(append([]int(nil), prefix...), i)
+			if f.Type == reflect.TypeOf(report.TableData{}) {
+				walk(f.Type, path)
+				continue
+			}
+			paths = append(paths, path)
+		}
+	}
+	walk(typ, nil)
+	all := new(service.Result)
+	for _, path := range paths {
+		field := typ.FieldByIndex(path)
+		values := fieldValues(t, field.Name, field.Type)
+		for i, val := range values {
+			r := new(service.Result)
+			reflect.ValueOf(r).Elem().FieldByIndex(path).Set(val)
+			checkResultEncoding(t, field.Name+"#"+strconv.Itoa(i), r)
+		}
+		reflect.ValueOf(all).Elem().FieldByIndex(path).Set(values[len(values)-1])
+	}
+	if len(paths) < 18 {
+		t.Fatalf("walked %d fields; Result and TableData have at least 18", len(paths))
+	}
+	checkResultEncoding(t, "every field", all)
+}
+
+// FuzzResultMatchesEncoder fuzzes a Result's strings, integers and
+// floats, NaN and infinities included: appendResult must write what
+// the reflective encoder writes, or both must refuse.
+func FuzzResultMatchesEncoder(f *testing.F) {
+	f.Add("bss-overflow", "SUCCESS", "overflow_bytes", int64(0), int64(1234), 0.0, 0.5, 1.0, uint8(0))
+	f.Add("a<b>&c", "line\u2028sep", "lone\xff", int64(-1), int64(math.MaxInt64), 1e-7, 1e21, -0.0, uint8(4))
+	f.Add("x", "", "k\x00", int64(3), int64(-9), math.NaN(), 1.0, 2.0, uint8(1))
+	f.Add("x", "y", "z", int64(1<<40), int64(0), 0.25, math.Inf(-1), 123456789.125, uint8(6))
+	f.Add("x", "y", "z", int64(2), int64(5), math.Inf(1), 3e-320, 1e300, uint8(2))
+	f.Fuzz(func(t *testing.T, id, cell, key string, seed, computeNS int64, chaos, m1, m2 float64, shape uint8) {
+		r := &service.Result{
+			Key: key, Kind: "scenario", ID: id, Defense: cell, Model: id, Seed: seed,
+			ChaosProb: chaos, Faults: cell, Repeat: int(seed % 100), Status: cell,
+			Table: report.TableData{
+				Title: id, Headers: []string{key, cell}, Rows: [][]string{{id, cell}, {}, nil},
+			},
+			Details:        []string{cell, key},
+			Metrics:        map[string]float64{key: m1, id: m2},
+			InjectedFaults: int(computeNS % 7), ComputeNS: computeNS, Version: key,
+		}
+		switch shape % 3 {
+		case 1:
+			r.Table.Headers, r.Table.Rows, r.Details, r.Metrics = nil, nil, nil, nil
+		case 2:
+			r.Table.Headers, r.Table.Rows, r.Details, r.Metrics = []string{}, [][]string{}, []string{}, map[string]float64{}
+		}
+		cache := service.CacheMiss
+		if shape&4 != 0 {
+			cache = service.CacheHit
+		}
+		v := RunResponse{Result: r, Cache: cache, TraceID: id}
 		want, werr := referenceJSON(v)
 		got, gerr := EncodeJSON(v)
 		if (werr != nil) != (gerr != nil) {

@@ -96,8 +96,10 @@ func newFairQueue(capacity int, aging time.Duration, weightFor func(string) floa
 }
 
 // push admits t into its tenant's FIFO in lane. A full lane or a
-// closed queue refuses; the caller maps that onto a Rejection.
-func (fq *fairQueue) push(t *task, tenant string, lane Priority) (*fqEntry, pushResult) {
+// closed queue refuses; the caller maps that onto a Rejection. A
+// non-nil queued runs once t is queued, with fq.mu held, so it happens
+// before any worker can claim t.
+func (fq *fairQueue) push(t *task, tenant string, lane Priority, queued func()) (*fqEntry, pushResult) {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
 	if fq.closed {
@@ -127,6 +129,9 @@ func (fq *fairQueue) push(t *task, tenant string, lane Priority) (*fqEntry, push
 	e.elem = tq.q.PushBack(e)
 	l.size++
 	fq.total++
+	if queued != nil {
+		queued()
+	}
 	fq.cond.Signal()
 	return e, pushOK
 }

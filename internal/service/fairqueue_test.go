@@ -29,10 +29,10 @@ func TestFairQueueDRRInterleavesTenants(t *testing.T) {
 	clk := newAdmissionClock()
 	fq := newFairQueue(16, 0, nil, clk.Now)
 	for i := 0; i < 3; i++ {
-		fq.push(fqTask("a"), "a", PriorityNormal)
+		fq.push(fqTask("a"), "a", PriorityNormal, nil)
 	}
 	for i := 0; i < 3; i++ {
-		fq.push(fqTask("b"), "b", PriorityNormal)
+		fq.push(fqTask("b"), "b", PriorityNormal, nil)
 	}
 	got := drainOrder(fq)
 	want := []string{"a", "b", "a", "b", "a", "b"}
@@ -55,8 +55,8 @@ func TestFairQueueWeightedShare(t *testing.T) {
 	}
 	fq := newFairQueue(16, 0, weight, clk.Now)
 	for i := 0; i < 4; i++ {
-		fq.push(fqTask("gold"), "gold", PriorityNormal)
-		fq.push(fqTask("iron"), "iron", PriorityNormal)
+		fq.push(fqTask("gold"), "gold", PriorityNormal, nil)
+		fq.push(fqTask("iron"), "iron", PriorityNormal, nil)
 	}
 	got := drainOrder(fq)
 	// First rotation: gold twice, iron once; repeat.
@@ -73,9 +73,9 @@ func TestFairQueueWeightedShare(t *testing.T) {
 func TestFairQueueStrictPriorityAcrossLanes(t *testing.T) {
 	clk := newAdmissionClock()
 	fq := newFairQueue(16, 0, nil, clk.Now)
-	fq.push(fqTask("low"), "t", PriorityLow)
-	fq.push(fqTask("normal"), "t", PriorityNormal)
-	fq.push(fqTask("high"), "t", PriorityHigh)
+	fq.push(fqTask("low"), "t", PriorityLow, nil)
+	fq.push(fqTask("normal"), "t", PriorityNormal, nil)
+	fq.push(fqTask("high"), "t", PriorityHigh, nil)
 	got := drainOrder(fq)
 	want := []string{"high", "normal", "low"}
 	for i := range want {
@@ -91,9 +91,9 @@ func TestFairQueueStrictPriorityAcrossLanes(t *testing.T) {
 func TestFairQueueAgingPromotesStarvedWork(t *testing.T) {
 	clk := newAdmissionClock()
 	fq := newFairQueue(16, 100*time.Millisecond, nil, clk.Now)
-	fq.push(fqTask("old-low"), "t", PriorityLow)
+	fq.push(fqTask("old-low"), "t", PriorityLow, nil)
 	clk.Advance(150 * time.Millisecond)
-	fq.push(fqTask("fresh-high"), "t", PriorityHigh)
+	fq.push(fqTask("fresh-high"), "t", PriorityHigh, nil)
 
 	e := fq.tryPop()
 	if e.t.adm.ID != "old-low" {
@@ -115,11 +115,11 @@ func TestFairQueueAgingPromotesStarvedWork(t *testing.T) {
 func TestFairQueueRemoveReleasesSlot(t *testing.T) {
 	clk := newAdmissionClock()
 	fq := newFairQueue(1, 0, nil, clk.Now)
-	e, res := fq.push(fqTask("victim"), "t", PriorityNormal)
+	e, res := fq.push(fqTask("victim"), "t", PriorityNormal, nil)
 	if res != pushOK {
 		t.Fatalf("push = %v, want pushOK", res)
 	}
-	if _, res := fq.push(fqTask("overflow"), "t", PriorityNormal); res != pushFull {
+	if _, res := fq.push(fqTask("overflow"), "t", PriorityNormal, nil); res != pushFull {
 		t.Fatalf("second push = %v, want pushFull", res)
 	}
 	if !fq.remove(e) {
@@ -131,7 +131,7 @@ func TestFairQueueRemoveReleasesSlot(t *testing.T) {
 	if fq.len(PriorityNormal) != 0 {
 		t.Fatalf("lane depth after remove = %d, want 0", fq.len(PriorityNormal))
 	}
-	if _, res := fq.push(fqTask("refill"), "t", PriorityNormal); res != pushOK {
+	if _, res := fq.push(fqTask("refill"), "t", PriorityNormal, nil); res != pushOK {
 		t.Fatalf("push after remove = %v, want pushOK (slot released)", res)
 	}
 }
@@ -142,7 +142,7 @@ func TestFairQueueRemoveReleasesSlot(t *testing.T) {
 func TestFairQueueRemoveAfterClaimFails(t *testing.T) {
 	clk := newAdmissionClock()
 	fq := newFairQueue(4, 0, nil, clk.Now)
-	e, _ := fq.push(fqTask("x"), "t", PriorityNormal)
+	e, _ := fq.push(fqTask("x"), "t", PriorityNormal, nil)
 	if got := fq.tryPop(); got != e {
 		t.Fatal("tryPop returned a different entry")
 	}
@@ -155,9 +155,9 @@ func TestFairQueueRemoveAfterClaimFails(t *testing.T) {
 func TestFairQueueClosedDrains(t *testing.T) {
 	clk := newAdmissionClock()
 	fq := newFairQueue(4, 0, nil, clk.Now)
-	fq.push(fqTask("queued"), "t", PriorityNormal)
+	fq.push(fqTask("queued"), "t", PriorityNormal, nil)
 	fq.close()
-	if _, res := fq.push(fqTask("late"), "t", PriorityNormal); res != pushClosed {
+	if _, res := fq.push(fqTask("late"), "t", PriorityNormal, nil); res != pushClosed {
 		t.Fatalf("push after close = %v, want pushClosed", res)
 	}
 	if e := fq.pop(); e == nil || e.t.adm.ID != "queued" {

@@ -270,7 +270,16 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 		return nil, s.reject(adm, ReasonLimiter, s.limiter.RetryAfter(now, ShedRetryAfter))
 	}
 	t := &task{ctx: ctx, adm: adm, fn: fn, done: make(chan taskResult, 1), admitted: now}
-	entry, pres := s.fq.push(t, adm.Tenant, adm.Priority)
+	// The admission event is published before a worker can claim the
+	// task, so the stream never shows its queue wait ending first.
+	var announce func()
+	if s.cfg.Bus.Active() {
+		announce = func() {
+			s.cfg.Bus.Publish(obs.KindAdmission, adm.Trace.Ref(), adm.Tenant, map[string]string{
+				"action": "admitted", "lane": adm.Priority.String()})
+		}
+	}
+	entry, pres := s.fq.push(t, adm.Tenant, adm.Priority, announce)
 	switch pres {
 	case pushFull:
 		s.refund(adm)
@@ -281,10 +290,6 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 		return nil, s.reject(adm, ReasonDraining, ShedRetryAfter)
 	}
 	s.gauges()
-	if s.cfg.Bus.Active() {
-		s.cfg.Bus.Publish(obs.KindAdmission, adm.Trace.Ref(), adm.Tenant, map[string]string{
-			"action": "admitted", "lane": adm.Priority.String()})
-	}
 	select {
 	case r := <-t.done:
 		return r.val, r.err
@@ -425,7 +430,7 @@ func (s *Scheduler) execute(t *task) {
 	if !t.adm.Trusted {
 		s.limiter.Release(end.Sub(t.admitted), end)
 	}
-	s.cfg.Metrics.Observe(obs.MetricServeLatency, float64(end.Sub(start).Milliseconds()),
+	s.cfg.Metrics.Observe(obs.MetricServeLatency, durMS(end.Sub(start)),
 		obs.L("lane", t.adm.Priority.String()))
 
 	if res.Status == resilience.StatusOK {

@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -204,4 +206,33 @@ func TestPriorityLanePreference(t *testing.T) {
 	}
 	s.Drain()
 	s.Wait()
+}
+
+// TestServeLatencyKeepsFractionalMilliseconds: a task that runs for
+// 400µs records 0.4 ms in pn_serve_latency_ms, in the le="1" bucket.
+// Truncating to whole milliseconds recorded every sub-millisecond run
+// as 0.
+func TestServeLatencyKeepsFractionalMilliseconds(t *testing.T) {
+	clk := newAdmissionClock()
+	reg := obs.NewRegistry()
+	describeServeMetrics(reg)
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueDepth: 4, Now: clk.Now, Metrics: reg})
+	if _, err := s.Do(context.Background(), Admit{Priority: PriorityNormal, ID: "timed"}, func(ctx context.Context) (any, error) {
+		clk.Advance(400 * time.Microsecond)
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	s.Wait()
+	exp := reg.Exposition()
+	for _, want := range []string{
+		obs.MetricServeLatency + `_bucket{lane="normal",le="1"} 1`,
+		obs.MetricServeLatency + `_sum{lane="normal"} 0.4`,
+		obs.MetricServeLatency + `_count{lane="normal"} 1`,
+	} {
+		if !strings.Contains(exp, want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, exp)
+		}
+	}
 }

@@ -342,7 +342,7 @@ func RunTenantSoak(cfg SoakConfig) *SoakReport {
 		}
 		j := &soakJob{tenant: a.tenant, priority: a.priority, enq: a.at}
 		t := &task{adm: Admit{Tenant: spec.Name, Priority: a.priority}, soak: j}
-		if _, res := fq.push(t, spec.Name, a.priority); res != pushOK {
+		if _, res := fq.push(t, spec.Name, a.priority, nil); res != pushOK {
 			quotas.Refund(spec.Name)
 			limiter.Cancel()
 			st.Shed[ReasonQueueFull]++
