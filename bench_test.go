@@ -6,6 +6,7 @@ package repro
 //	go test -bench=. -benchmem
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -111,7 +112,7 @@ func BenchmarkE15DefenseMatrix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matrix, err := attack.RunMatrix(configs)
+		matrix, err := attack.RunMatrix(context.Background(), configs)
 		if err != nil {
 			b.Fatal(err)
 		}

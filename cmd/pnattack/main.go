@@ -9,10 +9,12 @@
 // With -defense all it prints the full §5 attack x defense matrix
 // (experiment E15).
 //
-// Scenario execution is supervised: every run carries a deadline (the
-// -timeout flag) so a wedged scenario cannot hang the CLI, and an
-// unexpected infrastructure fault exits nonzero with a structured
-// one-line error (scenario=... defense=... status=... fault=...).
+// Scenario execution is supervised: every batch carries a deadline (the
+// -timeout flag). A batch checks it before each scenario and stops at
+// the first one after it has passed; a single scenario is checked when
+// it returns. A batch that overran its deadline, or an unexpected
+// infrastructure fault, exits nonzero with a structured one-line error
+// (scenario=... defense=... status=... fault=...).
 package main
 
 import (
@@ -62,15 +64,16 @@ func (e *scenarioError) Error() string {
 	return msg
 }
 
-// supervised runs fn under a single-attempt supervisor with the given
-// deadline and unwraps the typed result.
-func supervised[T any](scenarioID, defenseName string, timeout time.Duration, fn func() (T, error)) (T, error) {
+// supervised runs fn on the calling goroutine under a single-attempt
+// supervisor and unwraps the typed result. fn gets a ctx that ends at
+// timeout; a run that returns after it is reported as status=timeout.
+func supervised[T any](scenarioID, defenseName string, timeout time.Duration, fn func(ctx context.Context) (T, error)) (T, error) {
 	var zero T
 	sup := resilience.NewSupervisor(resilience.Policy{Timeout: timeout, MaxAttempts: 1})
 	res := sup.Run(resilience.Job{
 		ID: scenarioID + "/" + defenseName,
 		Run: func(ctx context.Context, attempt int) (any, error) {
-			return fn()
+			return fn(ctx)
 		},
 	})
 	if res.Status != resilience.StatusOK {
@@ -83,7 +86,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pnattack", flag.ContinueOnError)
 	scenario := fs.String("scenario", "all", "scenario id (see -list) or all")
 	defName := fs.String("defense", "none", "defense configuration name or all")
-	timeout := fs.Duration("timeout", 30*time.Second, "deadline per supervised scenario batch; a wedged scenario cannot hang the CLI")
+	timeout := fs.Duration("timeout", 30*time.Second, "deadline per supervised scenario batch, checked before each scenario; a batch that overran it exits 1 with status=timeout")
 	verbose := fs.Bool("v", false, "print per-scenario details and metrics")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON outcomes")
 	list := fs.Bool("list", false, "list scenarios and defenses")
@@ -112,8 +115,8 @@ func run(args []string, out io.Writer) error {
 
 	if *defName == "all" {
 		configs := defense.Catalog()
-		matrix, err := supervised(*scenario, "all", *timeout, func() (map[string]map[string]*attack.Outcome, error) {
-			return attack.RunMatrix(configs)
+		matrix, err := supervised(*scenario, "all", *timeout, func(ctx context.Context) (map[string]map[string]*attack.Outcome, error) {
+			return attack.RunMatrix(ctx, configs)
 		})
 		if err != nil {
 			return err
@@ -144,8 +147,8 @@ func run(args []string, out io.Writer) error {
 	}
 	var outcomes []*attack.Outcome
 	if *scenario == "all" {
-		outcomes, err = supervised("all", cfg.Name, *timeout, func() ([]*attack.Outcome, error) {
-			return attack.RunAll(cfg)
+		outcomes, err = supervised("all", cfg.Name, *timeout, func(ctx context.Context) ([]*attack.Outcome, error) {
+			return attack.RunAll(ctx, cfg)
 		})
 		if err != nil {
 			return err
@@ -155,7 +158,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		o, err := supervised(s.ID, cfg.Name, *timeout, func() (*attack.Outcome, error) {
+		o, err := supervised(s.ID, cfg.Name, *timeout, func(context.Context) (*attack.Outcome, error) {
 			return s.Run(cfg)
 		})
 		if err != nil {

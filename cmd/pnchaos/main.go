@@ -43,7 +43,7 @@ func run(args []string, out io.Writer) error {
 	runs := fs.Int("runs", 3, "seeded replays of the matrix")
 	faults := fs.String("faults", "all", "fault kinds to inject (comma list: bitflip,dropwrite,tornwrite,permfault,unmap; or all)")
 	prob := fs.Float64("prob", 0.005, "per-access injection probability")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-attempt job deadline")
+	timeout := fs.Duration("timeout", 10*time.Second, "per-attempt job deadline, checked when the attempt returns; an attempt past it is a timeout and is retried")
 	attempts := fs.Int("attempts", 4, "bounded retry: attempts per job")
 	maxFaults := fs.Int("max-faults", 3, "fault budget per job (-1 = unlimited)")
 	scenario := fs.String("scenario", "all", "scenario ids (comma list) or all")

@@ -11,6 +11,7 @@
 package attack
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -220,10 +221,14 @@ func ByID(id string) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("attack: unknown scenario %q (known: %v)", id, knownIDs)
 }
 
-// RunAll executes every scenario under cfg.
-func RunAll(cfg defense.Config) ([]*Outcome, error) {
+// RunAll executes every scenario under cfg. A batch whose ctx ends
+// stops before its next scenario and returns ctx.Err().
+func RunAll(ctx context.Context, cfg defense.Config) ([]*Outcome, error) {
 	var out []*Outcome
 	for _, s := range Catalog() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		o, err := s.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("attack: scenario %s under %s: %w", s.ID, cfg.Name, err)
@@ -234,12 +239,15 @@ func RunAll(cfg defense.Config) ([]*Outcome, error) {
 }
 
 // RunMatrix crosses every scenario with every defense configuration —
-// experiment E15.
-func RunMatrix(configs []defense.Config) (map[string]map[string]*Outcome, error) {
+// experiment E15. It checks ctx before each cell, as RunAll does.
+func RunMatrix(ctx context.Context, configs []defense.Config) (map[string]map[string]*Outcome, error) {
 	matrix := make(map[string]map[string]*Outcome)
 	for _, s := range Catalog() {
 		row := make(map[string]*Outcome, len(configs))
 		for _, cfg := range configs {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			o, err := s.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("attack: scenario %s under %s: %w", s.ID, cfg.Name, err)

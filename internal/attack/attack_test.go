@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -345,15 +347,41 @@ func TestHeapOverflowBeforeAfterDemo(t *testing.T) {
 	}
 }
 
+// countdownCtx reports a deadline from its (n+1)th check of Err on.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n--; c.n < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestBatchesStopAtTheirDeadline: RunAll and RunMatrix check their ctx
+// before each scenario or cell, so a deadline that passes mid-batch
+// stops it with ctx.Err() instead of running the rest.
+func TestBatchesStopAtTheirDeadline(t *testing.T) {
+	if outs, err := RunAll(&countdownCtx{context.Background(), 3}, defense.None); !errors.Is(err, context.DeadlineExceeded) || outs != nil {
+		t.Fatalf("RunAll past its deadline = %d outcomes, %v; want none and context.DeadlineExceeded", len(outs), err)
+	}
+	configs := []defense.Config{defense.None, defense.CheckedOnly}
+	if m, err := RunMatrix(&countdownCtx{context.Background(), 3}, configs); !errors.Is(err, context.DeadlineExceeded) || m != nil {
+		t.Fatalf("RunMatrix past its deadline = %d rows, %v; want none and context.DeadlineExceeded", len(m), err)
+	}
+}
+
 func TestRunAllAndMatrix(t *testing.T) {
-	outs, err := RunAll(defense.None)
+	outs, err := RunAll(context.Background(), defense.None)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(outs) != len(Catalog()) {
 		t.Fatalf("RunAll returned %d outcomes", len(outs))
 	}
-	matrix, err := RunMatrix([]defense.Config{defense.None, defense.CheckedOnly})
+	matrix, err := RunMatrix(context.Background(), []defense.Config{defense.None, defense.CheckedOnly})
 	if err != nil {
 		t.Fatal(err)
 	}

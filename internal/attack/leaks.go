@@ -183,11 +183,7 @@ func runDoSLoop(cfg defense.Config) (*Outcome, error) {
 			if err != nil {
 				return err
 			}
-			// for (int i = 0; i < n; i++) { ... } touches no simulated
-			// state, so only its closed form runs: n passes, and the
-			// request is validated on the last legit pass, i == baseline-1.
-			iters = max(nv, 0)
-			validated = nv >= baseline
+			iters, validated = seizedLoop(nv, baseline)
 			return nil
 		})
 		if err != nil {
@@ -234,6 +230,16 @@ func runDoSLoop(cfg defense.Config) (*Outcome, error) {
 			o.Metrics["amplification"], bypass)
 	}
 	return o, nil
+}
+
+// seizedLoop is the closed form of dos-loop's service loop,
+//
+//	for (int i = 0; i < n; i++) { if (i == baseline-1) validate(); }
+//
+// which touches no simulated state: it makes max(n, 0) passes and
+// validates the request on the last legit pass, i == baseline-1.
+func seizedLoop(n, baseline int64) (iters int64, validated bool) {
+	return max(n, 0), n >= baseline
 }
 
 // runDoSExhaust reproduces the §4.4 resource-exhaustion variant: "if the

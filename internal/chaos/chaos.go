@@ -237,12 +237,6 @@ func (in *Injector) Injections() []Injection {
 	return out
 }
 
-// UnmapPage unmaps the page containing addr on demand, independent of
-// the probabilistic schedule. Subsequent accesses to the page fault.
-func (in *Injector) UnmapPage(addr mem.Addr) {
-	in.unmapped[in.pageOf(addr)] = true
-}
-
 // Reset forgets unmapped pages and restarts the schedule from the seed.
 // The injected-fault transcript and access counter are cleared too, so
 // a reset injector is indistinguishable from a freshly built one.

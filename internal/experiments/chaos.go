@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/attack"
@@ -306,18 +305,12 @@ func runChaosCell(cfg ChaosConfig, in Instrument, sup *resilience.Supervisor, r 
 	// pristine pre-run image for crash rollback. The checkpoint is
 	// copy-on-write: capture costs O(pages) pointer operations, and a
 	// crashed attempt rolls back (and byte-verifies) in O(dirty pages)
-	// instead of re-copying the whole address space per trial. mu
-	// guards the captured state against the (timeout-only) case where
-	// an abandoned attempt races the next one.
-	var mu sync.Mutex
+	// instead of re-copying the whole address space per trial.
 	var curP *machine.Process
 	var curCP *mem.Checkpoint
 	dcfg := d // copy; the catalogue config stays pristine
 	dcfg.OnProcess = func(p *machine.Process) {
-		cp := p.CowCheckpoint()
-		mu.Lock()
-		curP, curCP = p, cp
-		mu.Unlock()
+		curP, curCP = p, p.CowCheckpoint()
 		inj.Arm(p.Mem)
 	}
 	dcfg = in.config(dcfg)
@@ -328,10 +321,7 @@ func runChaosCell(cfg ChaosConfig, in Instrument, sup *resilience.Supervisor, r 
 			return s.Run(dcfg)
 		},
 		OnCrash: func(rec *resilience.CrashRecord) {
-			mu.Lock()
-			p, cp := curP, curCP
-			mu.Unlock()
-			if p == nil || cp == nil {
+			if curP == nil || curCP == nil {
 				return
 			}
 			// Roll the crashed image back to its pre-run state and
@@ -339,11 +329,11 @@ func runChaosCell(cfg ChaosConfig, in Instrument, sup *resilience.Supervisor, r 
 			// restore swaps back only the pages the attempt dirtied,
 			// and the verification diff skips every page still shared
 			// with the checkpoint — it must come back empty.
-			if err := p.RestoreCheckpoint(cp); err != nil {
+			if err := curP.RestoreCheckpoint(curCP); err != nil {
 				return
 			}
 			rec.Restored = true
-			if diff, err := p.Mem.DiffDirty(cp); err == nil && len(diff) == 0 {
+			if diff, err := curP.Mem.DiffDirty(curCP); err == nil && len(diff) == 0 {
 				rec.RestoreClean = true
 			}
 		},

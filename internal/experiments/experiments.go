@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -382,7 +383,7 @@ func runE15(in Instrument) (*report.Table, error) {
 	for i := range configs {
 		configs[i] = in.config(configs[i])
 	}
-	matrix, err := attack.RunMatrix(configs)
+	matrix, err := attack.RunMatrix(context.Background(), configs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestE15MatrixAndSummary(t *testing.T) {
 	}
 
 	configs := defense.Catalog()
-	matrix, err := attack.RunMatrix(configs)
+	matrix, err := attack.RunMatrix(context.Background(), configs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,6 +90,18 @@ func (b *Breaker) Failure() {
 	}
 }
 
+// Release ends a half-open probe that gave no verdict (its work was
+// cancelled or never ran). The breaker stays open with its cooldown
+// spent, so the next Allow admits a fresh probe.
+func (b *Breaker) Release() {
+	if b == nil || b.threshold <= 0 {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
+}
+
 // Open reports whether the breaker currently refuses ordinary work.
 func (b *Breaker) Open() bool {
 	if b == nil || b.threshold <= 0 {

@@ -85,6 +85,29 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 }
 
+// TestBreakerReleasedProbe: a probe released without a verdict leaves
+// the breaker open, and the next Allow admits a fresh probe at once —
+// the cooldown is not restarted.
+func TestBreakerReleasedProbe(t *testing.T) {
+	clk := newFakeClock()
+	b := NewBreaker(1, 5*time.Second, clk.now)
+	b.Failure()
+	clk.advance(5 * time.Second)
+	if !b.Allow() {
+		t.Fatal("breaker refused the half-open probe after cooldown")
+	}
+	b.Release()
+	if !b.Open() {
+		t.Fatal("releasing a probe closed the breaker")
+	}
+	if !b.Allow() {
+		t.Fatal("breaker refused a fresh probe after the first was released")
+	}
+	if b.Allow() {
+		t.Fatal("breaker admitted a second concurrent probe")
+	}
+}
+
 // TestSupervisorBreakerUnchanged pins the Supervisor's crash-loop
 // behavior across the Breaker extraction: open after N consecutive
 // dead jobs, skip while open, stay open until an external success.

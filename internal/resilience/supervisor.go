@@ -8,8 +8,11 @@
 // A Supervisor provides, per job: panic recovery, a per-attempt
 // deadline, bounded retry with exponential backoff, and a crash-loop
 // breaker that stops launching work after too many consecutive dead
-// jobs. When some jobs die anyway, PartialTable degrades gracefully to
-// a report.Table of what survived and what did not.
+// jobs. Every attempt runs on the caller's goroutine and is joined,
+// never abandoned: a deadline is cooperative, so a job stops at it only
+// by watching its context. When some jobs die anyway, PartialTable
+// degrades gracefully to a report.Table of what survived and what did
+// not.
 package resilience
 
 import (
@@ -67,22 +70,25 @@ type CrashRecord struct {
 type Job struct {
 	// ID names the job in records and tables.
 	ID string
-	// Run executes one attempt. ctx is cancelled at the attempt
-	// deadline; cooperative jobs may watch it, but the supervisor does
-	// not require them to — a wedged attempt is abandoned, not joined.
+	// Run executes one attempt on the goroutine that called
+	// Supervisor.Run or Supervise. ctx ends at the attempt deadline; a
+	// job that must stop there watches it. One that does not runs to
+	// completion and is then recorded as a timeout.
 	Run func(ctx context.Context, attempt int) (any, error)
 	// OnCrash, when non-nil, is invoked after each crashed attempt with
 	// the crash record, before any retry. Campaigns use it to restore
 	// the process image from its checkpoint and annotate the record.
-	// It is not called for timeouts: the attempt may still be running,
-	// so its state cannot be safely touched.
+	// It is not called for timeouts: a timeout records that the attempt
+	// overran its deadline, not that its process image died, so there
+	// is nothing to roll back.
 	OnCrash func(rec *CrashRecord)
 }
 
 // Policy tunes the supervisor. The zero value means: no deadline, three
 // attempts, no backoff, breaker disabled.
 type Policy struct {
-	// Timeout is the per-attempt deadline (0 = none).
+	// Timeout is the per-attempt deadline (0 = none). The job sees it
+	// through its ctx; an attempt that returns after it is a timeout.
 	Timeout time.Duration
 	// MaxAttempts bounds retries; zero selects 3.
 	MaxAttempts int
@@ -258,15 +264,16 @@ func (s *Supervisor) Run(job Job) *Result {
 	return res
 }
 
-// Supervise executes one job under pol and returns its result. Unlike
-// a long-lived Supervisor — whose breaker and result log make it
-// strictly sequential — Supervise shares nothing between calls, so it
-// is safe to invoke from many goroutines at once. It is the serving
-// layer's per-request supervision primitive: each request gets panic
-// recovery, a deadline, and a structured crash record without any
-// cross-request state.
+// Supervise executes one job under pol on the calling goroutine and
+// returns its result. Unlike a long-lived Supervisor — whose breaker
+// and result log make it strictly sequential — Supervise shares
+// nothing between calls, so it is safe to invoke from many goroutines
+// at once. It is the serving layer's per-request supervision
+// primitive: each request gets panic recovery and a structured crash
+// record without any cross-request state.
 func Supervise(job Job, pol Policy) *Result {
-	return NewSupervisor(pol).Run(job)
+	// One job never meets the crash-loop breaker, so it gets none.
+	return (&Supervisor{pol: pol}).Run(job)
 }
 
 // RunAll executes jobs in order and returns their results.
@@ -278,79 +285,46 @@ func (s *Supervisor) RunAll(jobs []Job) []*Result {
 	return out
 }
 
-// attempt executes one isolated attempt with panic recovery and a
-// deadline. A timed-out attempt is abandoned: its goroutine may still
-// be running, but writes only to its own state and to the buffered
-// outcome channel nobody reads.
-func (s *Supervisor) attempt(job Job, attempt int) (any, *CrashRecord) {
+// attempt executes one attempt on the caller's goroutine with panic
+// recovery, and returns only once the job has. An attempt that returns
+// after its deadline is a timeout, whatever it returned.
+func (s *Supervisor) attempt(job Job, attempt int) (val any, crash *CrashRecord) {
 	ctx := context.Background()
-	cancel := func() {}
 	if s.pol.Timeout > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.pol.Timeout)
+		defer cancel()
 	}
-	defer cancel()
-
-	type outcome struct {
-		val      any
-		err      error
-		panicked bool
-		pv       any
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{panicked: true, pv: r}
+	defer func() {
+		if pv := recover(); pv != nil {
+			val, crash = nil, crashRecord(job.ID, attempt, CrashPanic, pv)
+		}
+		if ctx.Err() != nil {
+			val, crash = nil, &CrashRecord{
+				Job: job.ID, Attempt: attempt, Kind: CrashTimeout,
+				Message: fmt.Sprintf("attempt exceeded deadline %s", s.pol.Timeout),
 			}
-		}()
-		v, err := job.Run(ctx, attempt)
-		ch <- outcome{val: v, err: err}
+		}
 	}()
-
-	var done <-chan struct{}
-	if s.pol.Timeout > 0 {
-		done = ctx.Done()
+	val, err := job.Run(ctx, attempt)
+	if err != nil {
+		return nil, crashRecord(job.ID, attempt, CrashError, err)
 	}
-	select {
-	case o := <-ch:
-		switch {
-		case o.panicked:
-			return nil, s.crashFromPanic(job.ID, attempt, o.pv)
-		case o.err != nil:
-			return nil, s.crashFromError(job.ID, attempt, o.err)
-		default:
-			return o.val, nil
-		}
-	case <-done:
-		return nil, &CrashRecord{
-			Job: job.ID, Attempt: attempt, Kind: CrashTimeout,
-			Message: fmt.Sprintf("attempt exceeded deadline %s", s.pol.Timeout),
+	return val, nil
+}
+
+// crashRecord turns a recovered panic value (CrashPanic) or a returned
+// error (CrashError) into a crash record. One carrying a *mem.Fault —
+// directly or wrapped — is the simulated SIGSEGV; its siginfo is
+// preserved in the record.
+func crashRecord(jobID string, attempt int, kind string, v any) *CrashRecord {
+	rec := &CrashRecord{Job: jobID, Attempt: attempt, Kind: kind, Message: fmt.Sprint(v)}
+	if err, ok := v.(error); ok {
+		if f, ok := mem.IsFault(err); ok {
+			rec.FaultKind, rec.FaultAddr = f.Kind.String(), uint64(f.Addr)
 		}
 	}
-}
-
-// crashFromPanic turns a recovered panic into a crash record. A panic
-// carrying a *mem.Fault — directly or wrapped — is the simulated
-// SIGSEGV; its siginfo is preserved in the record.
-func (s *Supervisor) crashFromPanic(jobID string, attempt int, pv any) *CrashRecord {
-	rec := &CrashRecord{Job: jobID, Attempt: attempt, Kind: CrashPanic, Message: fmt.Sprint(pv)}
-	if err, ok := pv.(error); ok {
-		annotateFault(rec, err)
-	}
 	return rec
-}
-
-func (s *Supervisor) crashFromError(jobID string, attempt int, err error) *CrashRecord {
-	rec := &CrashRecord{Job: jobID, Attempt: attempt, Kind: CrashError, Message: err.Error()}
-	annotateFault(rec, err)
-	return rec
-}
-
-func annotateFault(rec *CrashRecord, err error) {
-	if f, ok := mem.IsFault(err); ok {
-		rec.FaultKind = f.Kind.String()
-		rec.FaultAddr = uint64(f.Addr)
-	}
 }
 
 // PartialTable renders results as a degraded report: every job gets a

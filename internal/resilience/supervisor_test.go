@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,5 +193,30 @@ func TestPartialTableDegradesGracefully(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("partial table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestTimedOutAttemptIsJoined: an attempt that ignores its context and
+// returns 20ms after its deadline is waited for, not abandoned, so by
+// the time Run reports the timeout the job has returned.
+func TestTimedOutAttemptIsJoined(t *testing.T) {
+	const timeout = 10 * time.Millisecond
+	var returned atomic.Bool
+	res := NewSupervisor(Policy{Timeout: timeout, MaxAttempts: 1}).Run(Job{
+		ID: "overrun",
+		Run: func(ctx context.Context, attempt int) (any, error) {
+			time.Sleep(timeout + 20*time.Millisecond)
+			returned.Store(true)
+			return "late", nil
+		},
+	})
+	if res.Status != StatusTimeout || len(res.Crashes) != 1 || res.Crashes[0].Kind != CrashTimeout {
+		t.Fatalf("result = %+v, want one timeout crash", res)
+	}
+	if want := "attempt exceeded deadline 10ms"; res.Err != want {
+		t.Fatalf("final error = %q, want %q", res.Err, want)
+	}
+	if !returned.Load() {
+		t.Fatal("Run reported the timeout while the attempt was still running")
 	}
 }

@@ -204,39 +204,31 @@ func ErrorStatus(err error) (int, *service.Rejection) {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, nil
 	case errors.Is(err, context.Canceled):
+		// 499: client closed request (nginx convention).
 		return 499, nil
 	default:
 		return http.StatusInternalServerError, nil
 	}
 }
 
-// WriteError maps service errors onto structured HTTP responses.
+// WriteError maps service errors onto structured HTTP responses with
+// ErrorStatus's codes. A rejection adds its retry hints; an execution
+// death adds its crash records.
 func (s *Server) WriteError(w http.ResponseWriter, err error) {
-	var bad *service.BadRequest
-	var rej *service.Rejection
-	var exe *service.ExecError
-	switch {
-	case errors.As(err, &bad):
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: http.StatusBadRequest})
-	case errors.As(err, &rej):
+	code, rej := ErrorStatus(err)
+	resp := ErrorResponse{Error: err.Error(), Code: code, Reject: rej}
+	if rej != nil {
 		// Standard Retry-After is whole seconds (rounded up); the
 		// millisecond-precision hint rides alongside for clients (pnload)
 		// that can use it.
 		w.Header().Set("Retry-After", strconv.FormatInt((rej.RetryAfterMS+999)/1000, 10))
 		w.Header().Set("X-PN-Retry-After-MS", strconv.FormatInt(rej.RetryAfterMS, 10))
-		WriteJSON(w, rej.Code, ErrorResponse{Error: err.Error(), Code: rej.Code, Reject: rej})
-	case errors.As(err, &exe):
-		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{
-			Error: err.Error(), Code: http.StatusInternalServerError, Crashes: exe.Crashes,
-		})
-	case errors.Is(err, context.DeadlineExceeded):
-		WriteJSON(w, http.StatusGatewayTimeout, ErrorResponse{Error: err.Error(), Code: http.StatusGatewayTimeout})
-	case errors.Is(err, context.Canceled):
-		// 499: client closed request (nginx convention).
-		WriteJSON(w, 499, ErrorResponse{Error: err.Error(), Code: 499})
-	default:
-		WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error(), Code: http.StatusInternalServerError})
 	}
+	var exe *service.ExecError
+	if errors.As(err, &exe) {
+		resp.Crashes = exe.Crashes
+	}
+	WriteJSON(w, code, resp)
 }
 
 // ParseRequest accepts POST JSON or GET query parameters, and reads

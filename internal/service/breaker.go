@@ -61,11 +61,12 @@ func (bs *breakerSet) breaker(tenant, class string) *resilience.Breaker {
 	return b
 }
 
-// allow reports whether (tenant, class) may execute; when refused it
-// also returns the remaining cooldown for the Retry-After hint.
-func (bs *breakerSet) allow(tenant, class string) (bool, time.Duration) {
+// allow reports whether (tenant, class) may execute and whether the
+// request is the open breaker's half-open probe; when refused it also
+// returns the remaining cooldown for the Retry-After hint.
+func (bs *breakerSet) allow(tenant, class string) (ok, probe bool, wait time.Duration) {
 	if !bs.enabled() {
-		return true, 0
+		return true, false, 0
 	}
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -75,13 +76,25 @@ func (bs *breakerSet) allow(tenant, class string) (bool, time.Duration) {
 		if wasOpen && bs.cfg.OnEvent != nil {
 			bs.cfg.OnEvent("probe", tenant, class)
 		}
-		return true, 0
+		return true, wasOpen, 0
 	}
 	rem := b.RemainingCooldown()
 	if rem <= 0 {
 		rem = bs.cfg.Cooldown
 	}
-	return false, rem
+	return false, false, rem
+}
+
+// release ends (tenant, class)'s half-open probe when the request that
+// holds it ends with no verdict, so the next request probes again. It
+// does nothing unless probe is set: a non-probe cannot free another's.
+func (bs *breakerSet) release(tenant, class string, probe bool) {
+	if !probe || !bs.enabled() {
+		return
+	}
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	bs.breaker(tenant, class).Release()
 }
 
 // success records a clean execution for (tenant, class).

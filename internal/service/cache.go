@@ -3,6 +3,7 @@ package service
 import (
 	"container/list"
 	"context"
+	"sync"
 	"time"
 )
 
@@ -40,18 +41,11 @@ type CacheConfig struct {
 type Cache struct {
 	cfg CacheConfig
 
-	mu      chMutex
+	mu      sync.Mutex
 	entries map[string]*list.Element
 	lru     *list.List // front = most recent
 	flights map[string]*flight
 }
-
-// chMutex is a channel-based mutex so cache internals can also be
-// released while waiting on a flight without juggling sync.Cond.
-type chMutex chan struct{}
-
-func (m chMutex) lock()   { m <- struct{}{} }
-func (m chMutex) unlock() { <-m }
 
 type entry struct {
 	key    string
@@ -76,7 +70,6 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 	return &Cache{
 		cfg:     cfg,
-		mu:      make(chMutex, 1),
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 		flights: make(map[string]*flight),
@@ -91,16 +84,16 @@ func (c *Cache) event(tok string) {
 
 // Len returns the number of stored entries.
 func (c *Cache) Len() int {
-	c.mu.lock()
-	defer c.mu.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.lru.Len()
 }
 
 // Keys returns the stored keys from most to least recently used — the
 // eviction order, exposed for tests.
 func (c *Cache) Keys() []string {
-	c.mu.lock()
-	defer c.mu.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]string, 0, c.lru.Len())
 	for e := c.lru.Front(); e != nil; e = e.Next() {
 		out = append(out, e.Value.(*entry).key)
@@ -146,15 +139,15 @@ func (c *Cache) storeLocked(key string, res *Result) {
 
 // Get returns the stored result for key, if fresh.
 func (c *Cache) Get(key string) (*Result, bool) {
-	c.mu.lock()
-	defer c.mu.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.lookupLocked(key)
 }
 
 // Put stores res under key unconditionally.
 func (c *Cache) Put(key string, res *Result) {
-	c.mu.lock()
-	defer c.mu.unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.storeLocked(key, res)
 }
 
@@ -168,15 +161,15 @@ func (c *Cache) Put(key string, res *Result) {
 // unblocks with ctx.Err() while the leader's execution (governed by
 // its own context) continues for the callers still waiting.
 func (c *Cache) Do(ctx context.Context, key string, miss func() (*Result, error)) (*Result, string, error) {
-	c.mu.lock()
+	c.mu.Lock()
 	if res, ok := c.lookupLocked(key); ok {
 		c.event(CacheHit)
-		c.mu.unlock()
+		c.mu.Unlock()
 		return res, CacheHit, nil
 	}
 	if f, ok := c.flights[key]; ok {
 		c.event(CacheCoalesced)
-		c.mu.unlock()
+		c.mu.Unlock()
 		select {
 		case <-f.done:
 			return f.res, CacheCoalesced, f.err
@@ -187,16 +180,16 @@ func (c *Cache) Do(ctx context.Context, key string, miss func() (*Result, error)
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.event(CacheMiss)
-	c.mu.unlock()
+	c.mu.Unlock()
 
 	f.res, f.err = miss()
 
-	c.mu.lock()
+	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil && f.res != nil {
 		c.storeLocked(key, f.res)
 	}
-	c.mu.unlock()
+	c.mu.Unlock()
 	close(f.done)
 	return f.res, CacheMiss, f.err
 }

@@ -89,7 +89,8 @@ func (r *Rejection) Error() string {
 // process and every other in-flight request carry on.
 type ExecError struct {
 	ID string
-	// Status is the supervisor's verdict (failed or timeout).
+	// Status is the supervisor's verdict: always failed, since a
+	// deadline that ends a run answers ctx.Err() instead.
 	Status resilience.Status
 	// Crashes are the structured records of every attempt.
 	Crashes []resilience.CrashRecord

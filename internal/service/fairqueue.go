@@ -302,16 +302,6 @@ func (fq *fairQueue) len(lane Priority) int {
 	return fq.lanes[lane].size
 }
 
-// tenantLen returns one tenant's depth in a lane.
-func (fq *fairQueue) tenantLen(lane Priority, tenant string) int {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
-	if tq, ok := fq.lanes[lane].tenants[tenant]; ok {
-		return tq.q.Len()
-	}
-	return 0
-}
-
 // Promotions returns how many entries were served via aging.
 func (fq *fairQueue) Promotions() uint64 {
 	fq.mu.Lock()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -105,6 +106,7 @@ type task struct {
 	fn       func(ctx context.Context) (any, error)
 	done     chan taskResult
 	admitted time.Time
+	probe    bool // admitted as its breaker's half-open probe
 	// soak carries the simulated job when the deterministic tenant soak
 	// drives the fair queue directly (nil on the live path).
 	soak *soakJob
@@ -132,8 +134,9 @@ type taskResult struct {
 //
 // Admission is non-blocking; every refusal is a structured Rejection
 // whose RetryAfterMS is computed from measured state. Each execution
-// runs under resilience supervision so a panicking scenario degrades
-// that one request, not the process.
+// runs on its worker under resilience supervision, so at most Workers
+// runs exist and a panicking scenario degrades that one request, not
+// the process.
 type Scheduler struct {
 	cfg      SchedulerConfig
 	fq       *fairQueue
@@ -210,11 +213,6 @@ func (s *Scheduler) Wait() { s.wg.Wait() }
 // QueueLen returns a lane's current depth (all tenants).
 func (s *Scheduler) QueueLen(p Priority) int { return s.fq.len(p) }
 
-// TenantQueueLen returns one tenant's depth in a lane.
-func (s *Scheduler) TenantQueueLen(p Priority, tenant string) int {
-	return s.fq.tenantLen(p, NormalizeTenant(tenant))
-}
-
 // Limiter exposes the adaptive concurrency limiter (readiness probes
 // read Saturated).
 func (s *Scheduler) Limiter() *Limiter { return s.limiter }
@@ -242,9 +240,13 @@ func (s *Scheduler) AgedPromotions() uint64 { return s.fq.Promotions() }
 //   - A request whose ctx ends while still queued is never executed;
 //     it is surgically removed from its fairness queue and its quota
 //     token and limiter slot are given back, and Do returns ctx.Err().
-//   - fn runs under resilience supervision with the context's
-//     remaining time as its deadline: panics become structured
-//     *ExecError values, not process crashes.
+//   - A half-open breaker probe shed, cancelled or expired before it
+//     ran, or cancelled during its run, is released for the next one.
+//   - fn runs on a worker under resilience supervision, with ctx:
+//     panics become structured *ExecError values, not process crashes.
+//     When ctx ends during the run, Do returns ctx.Err() at once and fn
+//     is expected to stop at its next check of ctx.
+//   - Each request is counted under exactly one outcome.
 func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Context) (any, error)) (any, error) {
 	adm.Tenant = NormalizeTenant(adm.Tenant)
 	if adm.Class == "" {
@@ -253,12 +255,14 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 	if s.Draining() {
 		return nil, s.reject(adm, ReasonDraining, ShedRetryAfter)
 	}
-	if ok, wait := s.breakers.allow(adm.Tenant, adm.Class); !ok {
+	ok, probe, wait := s.breakers.allow(adm.Tenant, adm.Class)
+	if !ok {
 		s.shed(adm, ReasonBreakerOpen)
 		return nil, s.reject(adm, ReasonBreakerOpen, wait)
 	}
 	if !adm.Trusted {
 		if ok, wait := s.quotas.TryTake(adm.Tenant); !ok {
+			s.breakers.release(adm.Tenant, adm.Class, probe)
 			s.shed(adm, ReasonQuota)
 			return nil, s.reject(adm, ReasonQuota, wait)
 		}
@@ -266,10 +270,11 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 	now := s.cfg.Now()
 	if !adm.Trusted && !s.limiter.TryAcquire() {
 		s.quotas.Refund(adm.Tenant)
+		s.breakers.release(adm.Tenant, adm.Class, probe)
 		s.shed(adm, ReasonLimiter)
 		return nil, s.reject(adm, ReasonLimiter, s.limiter.RetryAfter(now, ShedRetryAfter))
 	}
-	t := &task{ctx: ctx, adm: adm, fn: fn, done: make(chan taskResult, 1), admitted: now}
+	t := &task{ctx: ctx, adm: adm, fn: fn, done: make(chan taskResult, 1), admitted: now, probe: probe}
 	// The admission event is published before a worker can claim the
 	// task, so the stream never shows its queue wait ending first.
 	var announce func()
@@ -282,11 +287,11 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 	entry, pres := s.fq.push(t, adm.Tenant, adm.Priority, announce)
 	switch pres {
 	case pushFull:
-		s.refund(adm)
+		s.refund(t)
 		s.shed(adm, ReasonQueueFull)
 		return nil, s.reject(adm, ReasonQueueFull, s.limiter.RetryAfter(now, ShedRetryAfter))
 	case pushClosed:
-		s.refund(adm)
+		s.refund(t)
 		return nil, s.reject(adm, ReasonDraining, ShedRetryAfter)
 	}
 	s.gauges()
@@ -296,26 +301,37 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 	case <-ctx.Done():
 		if s.fq.remove(entry) {
 			// Still queued: the request consumed nothing, so its lane
-			// slot, quota token, and limiter slot are all given back —
-			// the no-leak contract.
-			s.refund(adm)
+			// slot, quota token, limiter slot and any breaker probe are
+			// all given back — the no-leak contract.
+			s.refund(t)
 			s.gauges()
+			s.count(adm, ctxOutcome(ctx.Err()))
 		}
-		// Otherwise a worker already claimed it; the worker re-checks
-		// ctx before executing and owns the accounting either way.
-		s.count(adm, "canceled")
+		// Otherwise a worker already claimed it and owns its
+		// accounting; its send on the buffered done never blocks.
 		return nil, ctx.Err()
 	}
 }
 
-// refund returns the quota token and limiter slot a non-trusted
-// admission took. Trusted admissions took neither, so they return
-// neither — the accounting stays balanced on both paths.
-func (s *Scheduler) refund(adm Admit) {
-	if adm.Trusted {
+// ctxOutcome labels a request whose context ended before it finished:
+// "timeout" for a deadline, "canceled" for a cancel.
+func ctxOutcome(err error) string {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return "timeout"
+	}
+	return "canceled"
+}
+
+// refund gives back what a task that never ran took: its breaker
+// probe, and the quota token and limiter slot a non-trusted admission
+// took. Trusted admissions took neither of the last two, so they
+// return neither — the accounting stays balanced on both paths.
+func (s *Scheduler) refund(t *task) {
+	s.breakers.release(t.adm.Tenant, t.adm.Class, t.probe)
+	if t.adm.Trusted {
 		return
 	}
-	s.quotas.Refund(adm.Tenant)
+	s.quotas.Refund(t.adm.Tenant)
 	s.limiter.Cancel()
 }
 
@@ -384,15 +400,18 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// execute runs one task under supervision, honouring its context.
+// execute runs one claimed task on this worker under supervision and
+// counts its one outcome.
 func (s *Scheduler) execute(t *task) {
 	if err := t.ctx.Err(); err != nil {
 		// Cancelled or expired between claim and execution: never run.
-		// Do's ctx arm already reported the outcome; the limiter slot is
-		// returned without a latency sample.
+		// The limiter slot is returned without a latency sample, and a
+		// breaker probe without a verdict.
+		s.breakers.release(t.adm.Tenant, t.adm.Class, t.probe)
 		if !t.adm.Trusted {
 			s.limiter.Cancel()
 		}
+		s.count(t.adm, ctxOutcome(err))
 		t.done <- taskResult{err: err}
 		return
 	}
@@ -405,22 +424,10 @@ func (s *Scheduler) execute(t *task) {
 		obs.L("lane", t.adm.Priority.String()))
 	t.adm.Trace.Stage(StageQueueWait, t.admitted, start, nil)
 
-	pol := resilience.Policy{MaxAttempts: 1}
-	if dl, ok := t.ctx.Deadline(); ok {
-		remaining := time.Until(dl)
-		if remaining <= 0 {
-			if !t.adm.Trusted {
-				s.limiter.Cancel()
-			}
-			t.done <- taskResult{err: context.DeadlineExceeded}
-			return
-		}
-		pol.Timeout = remaining
-	}
 	res := resilience.Supervise(resilience.Job{
 		ID:  t.adm.ID,
-		Run: func(ctx context.Context, attempt int) (any, error) { return t.fn(ctx) },
-	}, pol)
+		Run: func(context.Context, int) (any, error) { return t.fn(t.ctx) },
+	}, resilience.Policy{MaxAttempts: 1})
 
 	end := s.cfg.Now()
 	// The limiter's AIMD signal is the full admission-to-completion
@@ -433,18 +440,26 @@ func (s *Scheduler) execute(t *task) {
 	s.cfg.Metrics.Observe(obs.MetricServeLatency, durMS(end.Sub(start)),
 		obs.L("lane", t.adm.Priority.String()))
 
-	if res.Status == resilience.StatusOK {
+	switch err := t.ctx.Err(); {
+	case err != nil:
+		// The context ended during the run. Do answers ctx.Err(), so the
+		// worker answers the same and drops the run's result. A deadline
+		// is the run's failure; a cancel is the client's, so a probe
+		// cancelled mid-run gives no verdict and is released.
+		if errors.Is(err, context.DeadlineExceeded) {
+			s.breakers.failure(t.adm.Tenant, t.adm.Class)
+		} else {
+			s.breakers.release(t.adm.Tenant, t.adm.Class, t.probe)
+		}
+		s.count(t.adm, ctxOutcome(err))
+		t.done <- taskResult{err: err}
+	case res.Status == resilience.StatusOK:
 		s.breakers.success(t.adm.Tenant, t.adm.Class)
 		s.count(t.adm, "ok")
 		t.done <- taskResult{val: res.Value}
-		return
+	default:
+		s.breakers.failure(t.adm.Tenant, t.adm.Class)
+		s.count(t.adm, string(res.Status))
+		t.done <- taskResult{err: &ExecError{ID: t.adm.ID, Status: res.Status, Crashes: res.Crashes, Message: res.Err}}
 	}
-	s.breakers.failure(t.adm.Tenant, t.adm.Class)
-	s.count(t.adm, string(res.Status))
-	t.done <- taskResult{err: &ExecError{
-		ID:      t.adm.ID,
-		Status:  res.Status,
-		Crashes: res.Crashes,
-		Message: res.Err,
-	}}
 }

@@ -266,6 +266,94 @@ func TestBreakerIsolatesTenantAndClass(t *testing.T) {
 	}
 }
 
+// TestBreakerProbeWithoutVerdictIsReleased: a half-open probe whose
+// request ends without a verdict — cancelled during its run, cancelled
+// while queued, or shed by its quota after the breaker admitted it —
+// must not leave the breaker waiting on it for good: once the workers
+// are done, the breaker admits the next request as a fresh probe.
+func TestBreakerProbeWithoutVerdictIsReleased(t *testing.T) {
+	boom := func(context.Context) (any, error) { panic("simulated SIGSEGV") }
+	fine := func(context.Context) (any, error) { return "ok", nil }
+	adm := Admit{Tenant: "acme", Priority: PriorityNormal, Class: "scenario/stack-ret", ID: "scenario/stack-ret"}
+
+	// open builds a 1-worker scheduler whose acme breaker is open with
+	// its cooldown spent, so the next acme request is the probe.
+	open := func(t *testing.T, quota QuotaConfig) *Scheduler {
+		clk := newAdmissionClock()
+		s := NewScheduler(SchedulerConfig{
+			Workers:    1,
+			QueueDepth: 4,
+			Breaker:    BreakerConfig{Threshold: 1, Cooldown: time.Second},
+			Quota:      quota,
+			Now:        clk.Now,
+		})
+		var exe *ExecError
+		if _, err := s.Do(context.Background(), adm, boom); !errors.As(err, &exe) {
+			t.Fatalf("crash returned %v, want *ExecError", err)
+		}
+		clk.Advance(1100 * time.Millisecond)
+		return s
+	}
+	// released waits for the worker to finish with the probe, then
+	// asserts the breaker admits the next request as a fresh probe.
+	released := func(t *testing.T, s *Scheduler) {
+		s.Drain()
+		s.Wait()
+		if ok, probe, _ := s.breakers.allow(adm.Tenant, adm.Class); !ok || !probe {
+			t.Fatalf("after the probe: allow = %v, probe = %v; want the next request admitted as a fresh probe", ok, probe)
+		}
+	}
+
+	t.Run("canceled-during-run", func(t *testing.T) {
+		s := open(t, QuotaConfig{})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, err := s.Do(ctx, adm, func(ctx context.Context) (any, error) {
+			cancel()
+			<-ctx.Done()
+			return "ok", nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("probe returned %v, want context.Canceled", err)
+		}
+		released(t, s)
+	})
+	t.Run("canceled-while-queued", func(t *testing.T) {
+		s := open(t, QuotaConfig{})
+		release, blockerDone := occupyWorker(t, s, "umbrella")
+		ctx, cancel := context.WithCancel(context.Background())
+		result := make(chan error, 1)
+		go func() {
+			_, err := s.Do(ctx, adm, fine)
+			result <- err
+		}()
+		deadline := time.Now().Add(2 * time.Second)
+		for s.QueueLen(PriorityNormal) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("probe never queued")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		if err := <-result; !errors.Is(err, context.Canceled) {
+			t.Fatalf("probe returned %v, want context.Canceled", err)
+		}
+		close(release)
+		<-blockerDone
+		released(t, s)
+	})
+	t.Run("shed-by-quota", func(t *testing.T) {
+		// Burst 1: the crash spends the only token, and 1.1s at 0.1/s
+		// does not refill it.
+		s := open(t, QuotaConfig{Rate: 0.1, Burst: 1})
+		var rej *Rejection
+		if _, err := s.Do(context.Background(), adm, fine); !errors.As(err, &rej) || rej.Reason != ReasonQuota {
+			t.Fatalf("probe returned %v, want a quota rejection", err)
+		}
+		released(t, s)
+	})
+}
+
 // TestAgingDefeatsPriorityStarvation at the scheduler level: a low
 // request stuck behind a continuous high-priority stream is eventually
 // served via promotion.

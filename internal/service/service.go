@@ -349,13 +349,12 @@ func (s *Service) HandleTraced(ctx context.Context, req Request) (*Result, strin
 }
 
 // compute executes one validated request on a worker goroutine. It is
-// the single place the serving path calls into the corpus, and it
-// checks ctx immediately so work cancelled between admission and
-// dispatch never runs.
+// the single place the serving path calls into the corpus. Deadlines
+// are cooperative: ctx is checked before each repeat iteration, so a
+// request whose context ends stops at its next iteration. Iterations
+// hold no check of their own: repeat is the only trip count a client
+// sets, so a run overshoots its deadline by at most one iteration.
 func (s *Service) compute(ctx context.Context, n *request, rt *RequestTrace) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	start := s.cfg.Now()
 	res := &Result{
 		Key:     n.key,
@@ -372,6 +371,9 @@ func (s *Service) compute(ctx context.Context, n *request, rt *RequestTrace) (*R
 		// every iteration produces the same table and only the aggregate
 		// compute time changes.
 		for i := 0; i < n.Repeat; i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			t, err := n.exp.Run(experiments.Instrument{})
 			if err != nil {
 				return nil, err
@@ -382,6 +384,9 @@ func (s *Service) compute(ctx context.Context, n *request, rt *RequestTrace) (*R
 	default:
 		totalInjected := 0
 		for i := 0; i < n.Repeat; i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			o, injected, err := s.runScenario(n, rt, start)
 			if err != nil {
 				return nil, err

@@ -327,7 +327,7 @@ func RunTenantSoak(cfg SoakConfig) *SoakReport {
 		spec := cfg.Tenants[a.tenant]
 		st := &stats[a.tenant]
 		st.Offered++
-		if ok, _ := breakers.allow(spec.Name, "scenario/soak"); !ok {
+		if ok, _, _ := breakers.allow(spec.Name, "scenario/soak"); !ok {
 			st.Shed[ReasonBreakerOpen]++
 			continue
 		}

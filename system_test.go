@@ -5,6 +5,7 @@ package repro
 // harness entry points rather than package internals.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestReproductionHeadlines(t *testing.T) {
 		t.Skip("full matrix is slow in -short mode")
 	}
 	configs := defense.Catalog()
-	matrix, err := attack.RunMatrix(configs)
+	matrix, err := attack.RunMatrix(context.Background(), configs)
 	if err != nil {
 		t.Fatal(err)
 	}
