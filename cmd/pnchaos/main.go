@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pnchaos [--seed N] [--runs N] [--faults kinds] [--prob p]
-//	        [--timeout d] [--attempts n] [--max-faults n]
+//	        [--attempts n] [--max-faults n]
 //	        [--scenario id,...|all] [--defense name,...|all]
 //	        [--table] [--no-verify]
 //
@@ -23,7 +23,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/experiments"
@@ -43,7 +42,6 @@ func run(args []string, out io.Writer) error {
 	runs := fs.Int("runs", 3, "seeded replays of the matrix")
 	faults := fs.String("faults", "all", "fault kinds to inject (comma list: bitflip,dropwrite,tornwrite,permfault,unmap; or all)")
 	prob := fs.Float64("prob", 0.005, "per-access injection probability")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-attempt job deadline, checked when the attempt returns; an attempt past it is a timeout and is retried")
 	attempts := fs.Int("attempts", 4, "bounded retry: attempts per job")
 	maxFaults := fs.Int("max-faults", 3, "fault budget per job (-1 = unlimited)")
 	scenario := fs.String("scenario", "all", "scenario ids (comma list) or all")
@@ -65,7 +63,6 @@ func run(args []string, out io.Writer) error {
 		Kinds:           kinds,
 		MaxAttempts:     *attempts,
 		MaxFaultsPerJob: *maxFaults,
-		Timeout:         *timeout,
 		Scenarios:       splitList(*scenario),
 		Defenses:        splitList(*defName),
 		SkipReplayCheck: *noVerify,

@@ -41,7 +41,7 @@
 //
 // -tenants runs the adversarial multi-tenant admission-control soak
 // (greedy, bursty, and well-behaved tenants against per-tenant quotas,
-// weighted fair queueing with priority aging, and circuit breakers) as
+// round-robin fair queueing with priority aging, and circuit breakers) as
 // a deterministic discrete-event simulation — no server, no -url; the
 // same seed always produces byte-identical BENCH_TENANT.json. Exit
 // status is non-zero when the well-behaved tenant's completed fraction

@@ -208,8 +208,8 @@ func TestRetryDelayPrefersMillisecondHint(t *testing.T) {
 	}
 }
 
-// TestShed503CountedNotFailed: overload 503s (limiter, breaker,
-// draining) are shed like 429s, not errors.
+// TestShed503CountedNotFailed: overload 503s (breaker, draining) are
+// shed like 429s, not errors.
 func TestShed503CountedNotFailed(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)

@@ -5,13 +5,13 @@
 //	                     local admission control (the single-node
 //	                     deployment and every pre-cluster behaviour)
 //	pnserve -worker      a fleet worker: identical, plus it trusts the
-//	                     router hop headers (X-PN-Admitted skips local
-//	                     quota/limiter, X-PN-Fill-From arms cross-node
+//	                     router hop headers (X-PN-Admitted skips the
+//	                     local quota, X-PN-Fill-From arms cross-node
 //	                     cache fill) and, with -join, push-heartbeats
 //	                     the router so it is admitted to the ring
 //	pnserve -router      the cluster front end: no local execution —
-//	                     admission (tenant quotas + adaptive limiter)
-//	                     runs here and requests forward to the
+//	                     admission (tenant quotas) runs here and
+//	                     requests forward to the
 //	                     consistent-hash ring owner of their
 //	                     content-addressed cache key; -workers lists
 //	                     the initial backends
@@ -32,11 +32,11 @@
 //	                   defenses, models) as JSON
 //	GET  /healthz      liveness: always 200 while the process runs (the
 //	                   status field reads "draining" during shutdown)
-//	GET  /readyz       readiness: 503 while draining or while the
-//	                   adaptive concurrency limiter is fully closed;
-//	                   the JSON body carries {"draining":bool,
-//	                   "saturated":bool} so routers and load drivers
-//	                   can tell the two apart
+//	GET  /readyz       readiness: 503 while draining (on a router,
+//	                   also with no healthy worker); the JSON body
+//	                   carries {"status", "draining":bool,
+//	                   "uptime_ms"} so a router can tell a draining
+//	                   worker from any other refusal
 //	GET  /metrics      Prometheus text exposition (pn_serve_* — plus
 //	                   pn_cluster_* on a router)
 //	GET  /watch        live event stream (SSE; Accept:
@@ -56,13 +56,12 @@
 //	POST /cluster/join     worker push heartbeat {"id":"http://..."}
 //
 // Multi-tenant admission control: the X-PN-Tenant request header
-// selects the tenant (default "default"); per-tenant token-bucket
-// quotas (-tenant-rate/-tenant-burst), weighted fair queueing with
-// priority aging (-aging), an adaptive concurrency limiter
-// (-p99-target), and per-(tenant, scenario-class) circuit breakers
-// (-breaker-threshold/-breaker-cooldown) shed overload with structured
-// 429/503 responses. In a cluster, quotas and the limiter enforce at
-// the router only; workers behind it skip both (never double-counted)
+// selects the tenant (default "default"); per-(tenant, scenario-class)
+// circuit breakers (-breaker-threshold/-breaker-cooldown), per-tenant
+// token-bucket quotas (-tenant-rate/-tenant-burst), and round-robin
+// fair queueing with priority aging (-aging) shed overload with
+// structured 429/503 responses. In a cluster, quotas enforce at the
+// router only; workers behind it skip theirs (never double-counted)
 // while keeping their worker-local breakers.
 //
 // On SIGTERM/SIGINT every mode drains gracefully: admission stops
@@ -78,7 +77,7 @@
 //	        [-cache-size 512] [-cache-ttl 10m]
 //	        [-deadline 15s] [-max-deadline 60s] [-drain-timeout 10s]
 //	        [-tenant-rate 200] [-tenant-burst 400] [-aging 1s]
-//	        [-p99-target 0] [-breaker-threshold 5] [-breaker-cooldown 2s]
+//	        [-breaker-threshold 5] [-breaker-cooldown 2s]
 //	        [-trace-cap 256] [-deterministic] [-compiled]
 //	pnserve -worker [-advertise http://host:port] [-join http://router]
 //	        [...the same serving flags]
@@ -86,7 +85,6 @@
 //	        [-ring-seed 1] [-vnodes 64] [-heartbeat 500ms]
 //	        [-fail-threshold 2] [-forward-timeout 30s]
 //	        [-forward-retries 2] [-tenant-rate 200] [-tenant-burst 400]
-//	        [-p99-target 0]
 package main
 
 import (
@@ -130,7 +128,6 @@ func run(args []string, out io.Writer) error {
 	tenantRate := fs.Float64("tenant-rate", 200, "per-tenant sustained admission rate in req/s (0 disables quotas)")
 	tenantBurst := fs.Float64("tenant-burst", 400, "per-tenant burst allowance (0 = 2x rate)")
 	aging := fs.Duration("aging", time.Second, "queue wait at which any request outranks strict priority (negative disables)")
-	p99Target := fs.Duration("p99-target", 0, "adaptive concurrency limiter latency objective (0 disables)")
 	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive execution deaths that open a (tenant, class) breaker (0 disables)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Second, "open-breaker fast-fail window before a half-open probe")
 	traceCap := fs.Int("trace-cap", service.DefaultTraceCapacity, "finished traces retained for GET /trace/{id}")
@@ -162,7 +159,7 @@ func run(args []string, out io.Writer) error {
 			seed: *ringSeed, vnodes: *vnodes, heartbeat: *heartbeat,
 			failThreshold: *failThreshold, forwardTimeout: *forwardTimeout,
 			forwardRetries: *forwardRetries,
-			tenantRate:     *tenantRate, tenantBurst: *tenantBurst, p99Target: *p99Target,
+			tenantRate:     *tenantRate, tenantBurst: *tenantBurst,
 		}, out)
 	}
 
@@ -174,8 +171,7 @@ func run(args []string, out io.Writer) error {
 		Workers: poolSize, Queue: *queue,
 		CacheSize: *cacheSize, CacheTTL: *cacheTTL,
 		Deadline: *deadline, MaxDeadline: *maxDeadline,
-		TenantRate: *tenantRate, TenantBurst: *tenantBurst,
-		Aging: *aging, P99Target: *p99Target,
+		TenantRate: *tenantRate, TenantBurst: *tenantBurst, Aging: *aging,
 		BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown,
 		TraceCap: *traceCap, Deterministic: *deterministic,
 		TrustAdmitted: *worker, Compiled: *compiled,
@@ -234,7 +230,6 @@ type routerArgs struct {
 	forwardRetries int
 	tenantRate     float64
 	tenantBurst    float64
-	p99Target      time.Duration
 }
 
 func runRouter(a routerArgs, out io.Writer) error {
@@ -251,7 +246,7 @@ func runRouter(a routerArgs, out io.Writer) error {
 		Workers: backends, Seed: a.seed, VNodes: a.vnodes,
 		HeartbeatInterval: a.heartbeat, FailThreshold: a.failThreshold,
 		ForwardTimeout: a.forwardTimeout, ForwardRetries: a.forwardRetries,
-		TenantRate: a.tenantRate, TenantBurst: a.tenantBurst, P99Target: a.p99Target,
+		TenantRate: a.tenantRate, TenantBurst: a.tenantBurst,
 	})
 	rt.StartHeartbeat()
 	defer rt.Close()

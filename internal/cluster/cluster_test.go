@@ -613,7 +613,7 @@ func TestReadyzReportsNoWorkers(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "no-workers" || body.Draining || body.Saturated {
+	if body.Status != "no-workers" || body.Draining {
 		t.Fatalf("readyz body = %+v", body)
 	}
 }

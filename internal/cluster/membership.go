@@ -222,12 +222,11 @@ func (m *Membership) rebalanceLocked(reason string) {
 }
 
 // readyBody is the slice of serve.ReadyResponse the prober reads: the
-// two boolean causes distinguish "draining — eject now, clone its
-// shard" from "saturated — alive, keep routing" without string
+// draining flag distinguishes "draining — eject now, clone its shard"
+// from any other refusal ("alive, keep routing") without string
 // matching.
 type readyBody struct {
-	Draining  bool `json:"draining"`
-	Saturated bool `json:"saturated"`
+	Draining bool `json:"draining"`
 }
 
 // ProbeAll pulls every member's /readyz once and applies the state
@@ -254,10 +253,9 @@ func (m *Membership) probe(id string) {
 	case body.Draining:
 		m.MarkDraining(id)
 	default:
-		// Saturated (or any other refusal): alive but shedding. The
-		// worker stays on the ring — its own admission control sheds with
-		// honest Retry-After hints, and ejecting it would dogpile its
-		// shard onto neighbours.
+		// Any other refusal: alive but shedding. The worker stays on the
+		// ring — its own admission control sheds with Retry-After hints,
+		// and ejecting it would dogpile its shard onto neighbours.
 	}
 }
 

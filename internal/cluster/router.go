@@ -35,12 +35,11 @@ type RouterConfig struct {
 	// after re-resolving the ring (default 2) — the kill-a-worker path:
 	// attempt, eject, re-route to the successor.
 	ForwardRetries int
-	// Router-level admission: tenant quotas and the adaptive limiter run
-	// HERE and only here — workers behind the router trust the
-	// X-PN-Admitted hop header, so fleet accounting never double-counts.
+	// Router-level admission: tenant quotas run HERE and only here —
+	// workers behind the router trust the X-PN-Admitted hop header, so
+	// fleet accounting never double-counts.
 	TenantRate  float64
 	TenantBurst float64
-	P99Target   time.Duration
 }
 
 // traceIndexCap bounds the trace-to-worker index behind /trace/{id}.
@@ -78,17 +77,16 @@ type traceEntry struct {
 }
 
 // Router is the sharded serving tier's front end: it owns admission
-// (tenant quotas + adaptive limiter), routes every request to the ring
-// owner of its content-addressed cache key, retries around dead or
-// draining workers after a ring rebalance, and collapses concurrent
-// same-key requests into one forward.
+// (tenant quotas), routes every request to the ring owner of its
+// content-addressed cache key, retries around dead or draining workers
+// after a ring rebalance, and collapses concurrent same-key requests
+// into one forward.
 type Router struct {
-	cfg     RouterConfig
-	mem     *Membership
-	reg     *obs.Registry
-	client  *http.Client
-	quotas  *service.TenantQuotas
-	limiter *service.Limiter
+	cfg    RouterConfig
+	mem    *Membership
+	reg    *obs.Registry
+	client *http.Client
+	quotas *service.TenantQuotas
 
 	draining atomic.Bool
 	started  time.Time
@@ -112,7 +110,6 @@ func NewRouter(cfg RouterConfig) *Router {
 		reg:     reg,
 		client:  &http.Client{Timeout: cfg.ForwardTimeout},
 		quotas:  service.NewTenantQuotas(service.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst}, time.Now),
-		limiter: service.NewLimiter(service.LimiterConfig{TargetP99: cfg.P99Target}),
 		started: time.Now(),
 		flights: make(map[string]*rflight),
 
@@ -211,8 +208,8 @@ func (rt *Router) shed(reason string, tenant string, lane string, retryAfter tim
 
 // routeRun is the single-request pipeline both /run and /runbatch
 // items go through: validate and key the request at the edge, admit it
-// (quota, limiter — the only admission in the fleet), then either join
-// an in-flight forward for the same key or lead one to the ring owner.
+// (quota — the only quota in the fleet), then either join an in-flight
+// forward for the same key or lead one to the ring owner.
 func (rt *Router) routeRun(ctx context.Context, req service.Request, tenant, clientTrace string) *routed {
 	key, err := service.Key(req)
 	if err != nil {
@@ -227,28 +224,12 @@ func (rt *Router) routeRun(ctx context.Context, req service.Request, tenant, cli
 	if ok, wait := rt.quotas.TryTake(tenant); !ok {
 		return rt.shed(service.ReasonQuota, tenant, lane, wait)
 	}
-	now := time.Now()
-	if !rt.limiter.TryAcquire() {
-		rt.quotas.Refund(tenant)
-		return rt.shed(service.ReasonLimiter, tenant, lane, rt.limiter.RetryAfter(now, service.ShedRetryAfter))
-	}
-
-	var out *routed
 	if req.NoCache {
 		// Bypass requests always execute; collapsing them would change
 		// semantics, so they skip the singleflight.
-		out = rt.forwardRun(ctx, req, key, tenant, clientTrace)
-	} else {
-		out = rt.singleflightRun(ctx, req, key, tenant, clientTrace)
+		return rt.forwardRun(ctx, req, key, tenant, clientTrace)
 	}
-
-	end := time.Now()
-	if out.status < http.StatusInternalServerError {
-		rt.limiter.Release(end.Sub(now), end)
-	} else {
-		rt.limiter.Cancel()
-	}
-	return out
+	return rt.singleflightRun(ctx, req, key, tenant, clientTrace)
 }
 
 // singleflightRun collapses concurrent same-key forwards: the first
@@ -547,17 +528,14 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	resp := serve.ReadyResponse{
-		Status:    "ready",
-		Draining:  rt.draining.Load(),
-		Saturated: rt.limiter.Saturated(),
-		UptimeMS:  time.Since(rt.started).Milliseconds(),
+		Status:   "ready",
+		Draining: rt.draining.Load(),
+		UptimeMS: time.Since(rt.started).Milliseconds(),
 	}
 	code := http.StatusOK
 	switch {
 	case resp.Draining:
 		resp.Status, code = "draining", http.StatusServiceUnavailable
-	case resp.Saturated:
-		resp.Status, code = "saturated", http.StatusServiceUnavailable
 	case rt.mem.HealthyCount() == 0:
 		resp.Status, code = "no-workers", http.StatusServiceUnavailable
 	}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/chaos"
@@ -20,7 +19,7 @@ import (
 
 // ChaosConfig parameterises a chaos campaign: the attack x defense
 // matrix replayed N seeded times under injected faults, with every job
-// supervised, deadline-bounded, and restartable.
+// supervised and restartable.
 type ChaosConfig struct {
 	// Seed drives every derived per-job fault schedule.
 	Seed int64
@@ -36,8 +35,6 @@ type ChaosConfig struct {
 	MaxFaultsPerJob int
 	// MaxAttempts is the per-job retry bound (default 4).
 	MaxAttempts int
-	// Timeout is the per-attempt deadline (default 10s).
-	Timeout time.Duration
 	// BreakerThreshold opens the crash-loop breaker after that many
 	// consecutive dead jobs (default 8).
 	BreakerThreshold int
@@ -70,9 +67,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if out.MaxAttempts <= 0 {
 		out.MaxAttempts = 4
-	}
-	if out.Timeout <= 0 {
-		out.Timeout = 10 * time.Second
 	}
 	if out.BreakerThreshold <= 0 {
 		out.BreakerThreshold = 8
@@ -245,7 +239,6 @@ func RunChaosCampaign(cfg ChaosConfig, in Instrument) (*ChaosReport, error) {
 // (for the degraded partial table).
 func executeChaosRun(cfg ChaosConfig, in Instrument, r int, scenarios []attack.Scenario, defenses []defense.Config) (ChaosRunReport, []*resilience.Result, error) {
 	pol := resilience.Policy{
-		Timeout:          cfg.Timeout,
 		MaxAttempts:      cfg.MaxAttempts,
 		BreakerThreshold: cfg.BreakerThreshold,
 		// Chaos jobs are microseconds long; backoff would only slow

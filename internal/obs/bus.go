@@ -36,7 +36,7 @@ const (
 	// geometry, so stream consumers can rebuild an annotated heatmap.
 	KindHeatSegments = "heat-segments"
 	// KindAdmission is an admission-control transition: admitted, shed
-	// (with reason), breaker and limiter state changes.
+	// (with reason), and breaker state changes.
 	KindAdmission = "admission"
 	// KindTraceEnd is the terminal event of one request's stream: the
 	// span tree is finished and queryable at /trace/{id}.

@@ -51,17 +51,14 @@ const (
 	MetricServePool       = "pn_serve_pool_events_total"
 )
 
-// Admission-control metric names (per-tenant quotas, weighted fair
-// queueing, the adaptive concurrency limiter, and per-tenant circuit
-// breakers in internal/service).
+// Admission-control metric names (per-tenant quotas, fair queueing
+// with priority aging, and per-tenant circuit breakers in
+// internal/service).
 const (
-	MetricServeTenantRequests   = "pn_serve_tenant_requests_total"
-	MetricServeTenantShed       = "pn_serve_tenant_shed_total"
-	MetricServeAgedPromotions   = "pn_serve_aged_promotions_total"
-	MetricServeLimitValue       = "pn_serve_limit_value"
-	MetricServeLimitOutstanding = "pn_serve_limit_outstanding"
-	MetricServeLimitEvents      = "pn_serve_limit_events_total"
-	MetricServeBreakerEvents    = "pn_serve_breaker_events_total"
+	MetricServeTenantRequests = "pn_serve_tenant_requests_total"
+	MetricServeTenantShed     = "pn_serve_tenant_shed_total"
+	MetricServeAgedPromotions = "pn_serve_aged_promotions_total"
+	MetricServeBreakerEvents  = "pn_serve_breaker_events_total"
 )
 
 // Live-observability metric names: the per-stage request latency

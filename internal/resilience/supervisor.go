@@ -206,8 +206,14 @@ func (s *Supervisor) Results() []*Result {
 
 // Run executes job under the policy and records its result.
 func (s *Supervisor) Run(job Job) *Result {
-	res := &Result{Job: job.ID}
+	res := s.run(job)
 	s.results = append(s.results, res)
+	return res
+}
+
+// run executes job under the policy without recording it.
+func (s *Supervisor) run(job Job) *Result {
+	res := &Result{Job: job.ID}
 	if s.BreakerOpen() {
 		res.Status = StatusSkipped
 		res.Err = fmt.Sprintf("crash-loop breaker open after %d consecutive dead jobs", s.breaker.Consecutive())
@@ -272,8 +278,9 @@ func (s *Supervisor) Run(job Job) *Result {
 // primitive: each request gets panic recovery and a structured crash
 // record without any cross-request state.
 func Supervise(job Job, pol Policy) *Result {
-	// One job never meets the crash-loop breaker, so it gets none.
-	return (&Supervisor{pol: pol}).Run(job)
+	// One job never meets the crash-loop breaker, so it gets none, and
+	// nothing reads its result log, so it keeps none.
+	return (&Supervisor{pol: pol}).run(job)
 }
 
 // RunAll executes jobs in order and returns their results.

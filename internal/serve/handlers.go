@@ -349,33 +349,26 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ReadyResponse is the /readyz body: the status string plus the two
-// boolean causes, so a router (or pnload's retry loop) can distinguish
-// "draining — stop retrying this node" from "saturated — back off and
-// retry" without string-matching.
+// ReadyResponse is the /readyz body: the status string plus the
+// draining flag, so a router can tell "draining — eject this node and
+// move its shard" from any other refusal without string-matching.
 type ReadyResponse struct {
-	Status    string `json:"status"`
-	Draining  bool   `json:"draining"`
-	Saturated bool   `json:"saturated"`
-	UptimeMS  int64  `json:"uptime_ms"`
+	Status   string `json:"status"`
+	Draining bool   `json:"draining"`
+	UptimeMS int64  `json:"uptime_ms"`
 }
 
-// handleReady is readiness: 503 while draining or while the adaptive
-// concurrency limiter has fully closed (limit at its floor with every
-// slot taken) — both mean "route new traffic elsewhere".
+// handleReady is readiness: 503 while draining — "route new traffic
+// elsewhere".
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	resp := ReadyResponse{
-		Status:    "ready",
-		Draining:  s.draining.Load(),
-		Saturated: s.svc.Scheduler().Limiter().Saturated(),
-		UptimeMS:  time.Since(s.wallStart).Milliseconds(),
+		Status:   "ready",
+		Draining: s.draining.Load(),
+		UptimeMS: time.Since(s.wallStart).Milliseconds(),
 	}
 	code := http.StatusOK
-	switch {
-	case resp.Draining:
+	if resp.Draining {
 		resp.Status, code = "draining", http.StatusServiceUnavailable
-	case resp.Saturated:
-		resp.Status, code = "saturated", http.StatusServiceUnavailable
 	}
 	WriteJSON(w, code, resp)
 }

@@ -34,9 +34,9 @@ const (
 	// relays it so GET /trace/{id} works end-to-end across the hop.
 	TraceHeader = "X-PN-Trace-Id"
 	// AdmittedHeader marks a request already admitted by the cluster
-	// router's quota and limiter. Honoured only under Config.TrustAdmitted
-	// (worker mode behind a router); the worker then skips its own quota
-	// and limiter so fleet accounting never double-counts.
+	// router's quota. Honoured only under Config.TrustAdmitted (worker
+	// mode behind a router); the worker then skips its own quota so
+	// fleet accounting never double-counts.
 	AdmittedHeader = "X-PN-Admitted"
 	// FillFromHeader carries the base URL of the peer that owned this
 	// request's cache key before a ring rebalance. Honoured only under
@@ -58,7 +58,6 @@ type Config struct {
 	TenantRate       float64
 	TenantBurst      float64
 	Aging            time.Duration
-	P99Target        time.Duration
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Observability knobs.
@@ -122,7 +121,6 @@ func NewServer(cfg Config) *Server {
 			DefaultDeadline: cfg.Deadline,
 			MaxDeadline:     cfg.MaxDeadline,
 			Quota:           service.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst},
-			Limiter:         service.LimiterConfig{TargetP99: cfg.P99Target},
 			Breaker:         service.BreakerConfig{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown},
 			AgingThreshold:  cfg.Aging,
 			Now:             now,

@@ -23,28 +23,16 @@ func NormalizeTenant(s string) string {
 	return s
 }
 
-// TenantLimits is one tenant's quota override.
-type TenantLimits struct {
-	// Rate is the sustained admission rate in requests per second.
-	Rate float64
-	// Burst is the bucket capacity — how far above the sustained rate a
-	// tenant may briefly spike.
-	Burst float64
-	// Weight is the tenant's fair-queueing weight (default 1): a
-	// weight-2 tenant drains twice as fast as a weight-1 tenant when
-	// both are backlogged in the same lane.
-	Weight float64
-}
-
-// QuotaConfig tunes per-tenant admission quotas. The zero value
-// disables quotas entirely (every TryTake succeeds).
+// QuotaConfig tunes per-tenant admission quotas: every tenant gets its
+// own token bucket with these parameters. The zero value disables
+// quotas entirely (every TryTake succeeds).
 type QuotaConfig struct {
-	// Rate/Burst are the default token-bucket parameters applied to any
-	// tenant without an explicit override. Rate <= 0 disables quotas.
+	// Rate is the sustained admission rate in requests per second
+	// (<= 0 disables quotas); Burst is the bucket capacity — how far
+	// above the sustained rate a tenant may briefly spike (default
+	// 2x Rate).
 	Rate  float64
 	Burst float64
-	// PerTenant overrides Rate/Burst/Weight for named tenants.
-	PerTenant map[string]TenantLimits
 }
 
 func (c QuotaConfig) withDefaults() QuotaConfig {
@@ -56,14 +44,6 @@ func (c QuotaConfig) withDefaults() QuotaConfig {
 
 // Enabled reports whether quotas are armed at all.
 func (c QuotaConfig) Enabled() bool { return c.Rate > 0 }
-
-// WeightFor returns a tenant's fair-queueing weight (default 1).
-func (c QuotaConfig) WeightFor(tenant string) float64 {
-	if o, ok := c.PerTenant[tenant]; ok && o.Weight > 0 {
-		return o.Weight
-	}
-	return 1
-}
 
 // tokenBucket is one tenant's refillable budget. Refill happens lazily
 // from the elapsed time on the injected clock, so behavior is
@@ -129,18 +109,7 @@ func (q *TenantQuotas) Enabled() bool { return q != nil && q.cfg.Enabled() }
 func (q *TenantQuotas) bucket(tenant string) *tokenBucket {
 	b, ok := q.m[tenant]
 	if !ok {
-		rate, burst := q.cfg.Rate, q.cfg.Burst
-		if o, exists := q.cfg.PerTenant[tenant]; exists {
-			if o.Rate > 0 {
-				rate = o.Rate
-			}
-			if o.Burst > 0 {
-				burst = o.Burst
-			} else if o.Rate > 0 {
-				burst = 2 * o.Rate
-			}
-		}
-		b = &tokenBucket{tokens: burst, last: q.now(), rate: rate, burst: burst}
+		b = &tokenBucket{tokens: q.cfg.Burst, last: q.now(), rate: q.cfg.Rate, burst: q.cfg.Burst}
 		q.m[tenant] = b
 	}
 	return b
@@ -181,10 +150,55 @@ func (q *TenantQuotas) Tokens(tenant string) float64 {
 	return b.tokens
 }
 
-// WeightFor returns tenant's fair-queueing weight.
-func (q *TenantQuotas) WeightFor(tenant string) float64 {
-	if q == nil {
-		return 1
+// admission is the one admission sequence, shared by the live
+// scheduler and the deterministic tenant soak: breaker allow, quota
+// take, lane push. The steps read the clock in that order, which the
+// deterministic server's virtual clock depends on.
+type admission struct {
+	quotas   *TenantQuotas
+	breakers *breakerSet
+	fq       *fairQueue
+	now      func() time.Time
+}
+
+// admit queues t in its tenant's FIFO within its priority lane,
+// recording when it was admitted and whether it holds its breaker's
+// half-open probe. A non-nil announce runs once t is queued, before a
+// worker can claim it. On refusal admit returns the reason and the
+// Retry-After hint, having given back everything it took: the probe
+// and, for an untrusted admission, the quota token.
+func (a *admission) admit(t *task, announce func()) (*fqEntry, string, time.Duration) {
+	adm := t.adm
+	ok, probe, wait := a.breakers.allow(adm.Tenant, adm.Class)
+	if !ok {
+		return nil, ReasonBreakerOpen, wait
 	}
-	return q.cfg.WeightFor(tenant)
+	t.probe = probe
+	if !adm.Trusted {
+		if ok, wait := a.quotas.TryTake(adm.Tenant); !ok {
+			a.breakers.release(adm.Tenant, adm.Class, probe)
+			return nil, ReasonQuota, wait
+		}
+	}
+	t.admitted = a.now()
+	e, res := a.fq.push(t, adm.Tenant, adm.Priority, announce)
+	switch res {
+	case pushFull:
+		a.refund(t)
+		return nil, ReasonQueueFull, ShedRetryAfter
+	case pushClosed:
+		a.refund(t)
+		return nil, ReasonDraining, ShedRetryAfter
+	}
+	return e, "", 0
+}
+
+// refund gives back what an admitted task that never ran took: its
+// breaker probe and, unless it was trusted (the router took its quota
+// token upstream), its quota token.
+func (a *admission) refund(t *task) {
+	a.breakers.release(t.adm.Tenant, t.adm.Class, t.probe)
+	if !t.adm.Trusted {
+		a.quotas.Refund(t.adm.Tenant)
+	}
 }

@@ -80,38 +80,6 @@ func TestQuotaTakeRefillRefund(t *testing.T) {
 	}
 }
 
-func TestQuotaPerTenantOverride(t *testing.T) {
-	clk := newAdmissionClock()
-	cfg := QuotaConfig{
-		Rate:  1,
-		Burst: 1,
-		PerTenant: map[string]TenantLimits{
-			"gold": {Rate: 100, Burst: 5, Weight: 4},
-		},
-	}
-	q := NewTenantQuotas(cfg, clk.Now)
-	for i := 0; i < 5; i++ {
-		if ok, _ := q.TryTake("gold"); !ok {
-			t.Fatalf("gold take %d refused below its burst of 5", i)
-		}
-	}
-	if ok, _ := q.TryTake("gold"); ok {
-		t.Fatal("gold take succeeded past its burst")
-	}
-	if ok, _ := q.TryTake("pleb"); !ok {
-		t.Fatal("default-tenant take refused with a full bucket")
-	}
-	if ok, _ := q.TryTake("pleb"); ok {
-		t.Fatal("default-tenant take succeeded past burst 1")
-	}
-	if w := q.WeightFor("gold"); w != 4 {
-		t.Fatalf("gold weight = %g, want 4", w)
-	}
-	if w := q.WeightFor("pleb"); w != 1 {
-		t.Fatalf("default weight = %g, want 1", w)
-	}
-}
-
 // TestQuotaDisabledAdmitsEverything: the zero config is a no-op table.
 func TestQuotaDisabledAdmitsEverything(t *testing.T) {
 	q := NewTenantQuotas(QuotaConfig{}, nil)

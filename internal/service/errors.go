@@ -26,9 +26,6 @@ const (
 	ReasonQuota = "quota"
 	// ReasonQueueFull: the priority lane is at capacity (429).
 	ReasonQueueFull = "queue_full"
-	// ReasonLimiter: the adaptive concurrency limiter is at its
-	// latency-steered limit (429).
-	ReasonLimiter = "limiter"
 	// ReasonBreakerOpen: this tenant's scenario class is fast-failing
 	// after repeated execution deaths (503).
 	ReasonBreakerOpen = "breaker_open"
@@ -38,7 +35,7 @@ const (
 
 // RejectionReasons enumerates every Reason value, for table-driven
 // tests and client generators.
-var RejectionReasons = []string{ReasonQuota, ReasonQueueFull, ReasonLimiter, ReasonBreakerOpen, ReasonDraining}
+var RejectionReasons = []string{ReasonQuota, ReasonQueueFull, ReasonBreakerOpen, ReasonDraining}
 
 // reasonCode maps a rejection reason onto its HTTP-style status:
 // overload reasons are 429 (the client should slow down), while
@@ -55,9 +52,9 @@ func reasonCode(reason string) int {
 
 // Rejection is a structured load-shedding decision: the service chose
 // not to queue the request rather than let the queue grow without
-// bound. It maps to HTTP 429 (overload shedding: quota, queue_full,
-// limiter) or 503 (breaker_open, draining) and carries enough state
-// for the client to back off intelligently.
+// bound. It maps to HTTP 429 (overload shedding: quota, queue_full)
+// or 503 (breaker_open, draining) and carries enough state for the
+// client to back off intelligently.
 type Rejection struct {
 	// Code is the HTTP-style status the rejection maps to (see
 	// reasonCode).
@@ -71,10 +68,9 @@ type Rejection struct {
 	// QueueLen/QueueCap describe the lane at rejection time.
 	QueueLen int `json:"queue_len"`
 	QueueCap int `json:"queue_cap"`
-	// RetryAfterMS is the server's backoff hint, computed from the
-	// measured drain rate (limiter/queue_full), the tenant's token
-	// refill schedule (quota), or the breaker cooldown — not a
-	// constant.
+	// RetryAfterMS is the server's backoff hint: the tenant's token
+	// refill schedule (quota), the breaker's remaining cooldown
+	// (breaker_open), or ShedRetryAfter (queue_full, draining).
 	RetryAfterMS int64 `json:"retry_after_ms"`
 }
 

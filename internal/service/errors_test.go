@@ -13,7 +13,6 @@ func TestRejectionReasons(t *testing.T) {
 	wantCode := map[string]int{
 		ReasonQuota:       429,
 		ReasonQueueFull:   429,
-		ReasonLimiter:     429,
 		ReasonBreakerOpen: 503,
 		ReasonDraining:    503,
 	}

@@ -28,17 +28,14 @@ type fqEntry struct {
 	promoted bool // served via aging promotion rather than lane order
 }
 
-// fqTenant is one tenant's FIFO within a lane, with its deficit
-// round-robin state.
+// fqTenant is one tenant's FIFO within a lane.
 type fqTenant struct {
-	name    string
-	q       *list.List // of *fqEntry
-	deficit float64
-	weight  float64
+	name string
+	q    *list.List // of *fqEntry
 }
 
 // fqLane is one priority lane: a ring of active (backlogged) tenants
-// drained by deficit round-robin.
+// drained round-robin.
 type fqLane struct {
 	tenants map[string]*fqTenant
 	ring    []*fqTenant // active tenants, rotation order
@@ -56,23 +53,21 @@ const (
 )
 
 // fairQueue is the scheduler's indexed multi-queue: per lane, per
-// tenant FIFOs drained by deficit round-robin (weighted fair queueing
-// with unit-cost tasks), with priority aging promoting long-waiting
-// work from any lane ahead of strict priority order so nothing
-// starves. Entries are individually removable, so a request cancelled
-// while queued releases its slot immediately instead of being lazily
-// skipped by a worker.
+// tenant FIFOs drained round-robin (fair queueing with unit-cost
+// tasks), with priority aging promoting long-waiting work from any
+// lane ahead of strict priority order so nothing starves. Entries are
+// individually removable, so a request cancelled while queued releases
+// its slot immediately instead of being lazily skipped by a worker.
 type fairQueue struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	lanes     [laneCount]fqLane
-	capacity  int           // per-lane bound
-	aging     time.Duration // wait at which any entry outranks lane order (0 = off)
-	weightFor func(tenant string) float64
-	now       func() time.Time
-	seq       uint64
-	total     int
-	closed    bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	lanes    [laneCount]fqLane
+	capacity int           // per-lane bound
+	aging    time.Duration // wait at which any entry outranks lane order (0 = off)
+	now      func() time.Time
+	seq      uint64
+	total    int
+	closed   bool
 
 	promotions uint64              // entries served via aging
 	onPromote  func(tenant string) // metrics seam; called with fq.mu held
@@ -80,14 +75,11 @@ type fairQueue struct {
 
 const laneCount = 3
 
-func newFairQueue(capacity int, aging time.Duration, weightFor func(string) float64, now func() time.Time) *fairQueue {
+func newFairQueue(capacity int, aging time.Duration, now func() time.Time) *fairQueue {
 	if now == nil {
 		now = time.Now
 	}
-	if weightFor == nil {
-		weightFor = func(string) float64 { return 1 }
-	}
-	fq := &fairQueue{capacity: capacity, aging: aging, weightFor: weightFor, now: now}
+	fq := &fairQueue{capacity: capacity, aging: aging, now: now}
 	fq.cond = sync.NewCond(&fq.mu)
 	for i := range fq.lanes {
 		fq.lanes[i].tenants = make(map[string]*fqTenant)
@@ -111,17 +103,12 @@ func (fq *fairQueue) push(t *task, tenant string, lane Priority, queued func()) 
 	}
 	tq, ok := l.tenants[tenant]
 	if !ok {
-		w := fq.weightFor(tenant)
-		if w <= 0 {
-			w = 1 // a non-positive weight would stall the DRR sweep
-		}
-		tq = &fqTenant{name: tenant, q: list.New(), weight: w}
+		tq = &fqTenant{name: tenant, q: list.New()}
 		l.tenants[tenant] = tq
 	}
 	if tq.q.Len() == 0 {
-		// (Re)activation: join the rotation with a fresh deficit, the
-		// standard DRR treatment of a newly backlogged flow.
-		tq.deficit = 0
+		// (Re)activation: a newly backlogged tenant joins the rotation
+		// at its end.
 		l.ring = append(l.ring, tq)
 	}
 	fq.seq++
@@ -190,41 +177,23 @@ func (fq *fairQueue) tryPopLocked() *fqEntry {
 			return aged
 		}
 	}
-	// Strict priority across lanes; weighted deficit round-robin across
-	// tenants inside the chosen lane. Each visit tops a flow's deficit up
-	// by its weight at most once; when the deficit drops below one
-	// task-cost (or the flow empties) its turn is over and the cursor
-	// advances, so a weight-w tenant gets ~w services per rotation.
+	// Strict priority across lanes; round-robin across tenants inside
+	// the chosen lane: each turn serves one entry, then the cursor moves
+	// to the next backlogged tenant.
 	for li := range fq.lanes {
 		l := &fq.lanes[li]
 		if l.size == 0 {
 			continue
 		}
-		for {
-			tq := l.ring[l.rr]
-			if tq.deficit < 1 {
-				tq.deficit += tq.weight
-			}
-			if tq.deficit < 1 {
-				// Fractional weight still accruing: pass the turn.
-				l.rr = (l.rr + 1) % len(l.ring)
-				continue
-			}
-			e := tq.q.Front().Value.(*fqEntry)
-			tq.deficit--
-			fq.serveLocked(e) // may deactivate tq, splicing the ring
-			if len(l.ring) > 0 {
-				if tq.q.Len() > 0 && tq.deficit < 1 {
-					// Turn exhausted with backlog remaining: move on.
-					// (Deactivation already advanced the cursor in effect.)
-					l.rr = (l.rr + 1) % len(l.ring)
-				}
-				if l.rr >= len(l.ring) {
-					l.rr = 0
-				}
-			}
-			return e
+		tq := l.ring[l.rr]
+		e := tq.q.Front().Value.(*fqEntry)
+		// Serving may deactivate tq, splicing it out of the ring and
+		// leaving the cursor on its successor already.
+		fq.serveLocked(e)
+		if tq.q.Len() > 0 {
+			l.rr = (l.rr + 1) % len(l.ring)
 		}
+		return e
 	}
 	return nil
 }
@@ -278,12 +247,9 @@ func (fq *fairQueue) deactivateLocked(l *fqLane, tq *fqTenant) {
 			break
 		}
 	}
-	if len(l.ring) == 0 {
-		l.rr = 0
-	} else if l.rr >= len(l.ring) {
+	if l.rr >= len(l.ring) {
 		l.rr = 0
 	}
-	tq.deficit = 0
 	delete(l.tenants, tq.name)
 }
 

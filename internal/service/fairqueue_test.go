@@ -22,12 +22,12 @@ func drainOrder(fq *fairQueue) []string {
 	}
 }
 
-// TestFairQueueDRRInterleavesTenants: two equally weighted backlogged
-// tenants in one lane are served alternately, regardless of arrival
-// order — the head-of-line blocking a plain FIFO would exhibit is gone.
+// TestFairQueueDRRInterleavesTenants: two backlogged tenants in one
+// lane are served alternately, regardless of arrival order — the
+// head-of-line blocking a plain FIFO would exhibit is gone.
 func TestFairQueueDRRInterleavesTenants(t *testing.T) {
 	clk := newAdmissionClock()
-	fq := newFairQueue(16, 0, nil, clk.Now)
+	fq := newFairQueue(16, 0, clk.Now)
 	for i := 0; i < 3; i++ {
 		fq.push(fqTask("a"), "a", PriorityNormal, nil)
 	}
@@ -43,36 +43,11 @@ func TestFairQueueDRRInterleavesTenants(t *testing.T) {
 	}
 }
 
-// TestFairQueueWeightedShare: a weight-2 tenant is served twice per
-// rotation against a weight-1 tenant.
-func TestFairQueueWeightedShare(t *testing.T) {
-	clk := newAdmissionClock()
-	weight := func(tenant string) float64 {
-		if tenant == "gold" {
-			return 2
-		}
-		return 1
-	}
-	fq := newFairQueue(16, 0, weight, clk.Now)
-	for i := 0; i < 4; i++ {
-		fq.push(fqTask("gold"), "gold", PriorityNormal, nil)
-		fq.push(fqTask("iron"), "iron", PriorityNormal, nil)
-	}
-	got := drainOrder(fq)
-	// First rotation: gold twice, iron once; repeat.
-	want := []string{"gold", "gold", "iron", "gold", "gold", "iron", "iron", "iron"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("service order = %v, want %v", got, want)
-		}
-	}
-}
-
 // TestFairQueueStrictPriorityAcrossLanes: without aging pressure, the
 // high lane always drains before normal, normal before low.
 func TestFairQueueStrictPriorityAcrossLanes(t *testing.T) {
 	clk := newAdmissionClock()
-	fq := newFairQueue(16, 0, nil, clk.Now)
+	fq := newFairQueue(16, 0, clk.Now)
 	fq.push(fqTask("low"), "t", PriorityLow, nil)
 	fq.push(fqTask("normal"), "t", PriorityNormal, nil)
 	fq.push(fqTask("high"), "t", PriorityHigh, nil)
@@ -90,7 +65,7 @@ func TestFairQueueStrictPriorityAcrossLanes(t *testing.T) {
 // the no-starvation guarantee.
 func TestFairQueueAgingPromotesStarvedWork(t *testing.T) {
 	clk := newAdmissionClock()
-	fq := newFairQueue(16, 100*time.Millisecond, nil, clk.Now)
+	fq := newFairQueue(16, 100*time.Millisecond, clk.Now)
 	fq.push(fqTask("old-low"), "t", PriorityLow, nil)
 	clk.Advance(150 * time.Millisecond)
 	fq.push(fqTask("fresh-high"), "t", PriorityHigh, nil)
@@ -114,7 +89,7 @@ func TestFairQueueAgingPromotesStarvedWork(t *testing.T) {
 // capacity immediately and a worker can never claim it afterwards.
 func TestFairQueueRemoveReleasesSlot(t *testing.T) {
 	clk := newAdmissionClock()
-	fq := newFairQueue(1, 0, nil, clk.Now)
+	fq := newFairQueue(1, 0, clk.Now)
 	e, res := fq.push(fqTask("victim"), "t", PriorityNormal, nil)
 	if res != pushOK {
 		t.Fatalf("push = %v, want pushOK", res)
@@ -141,7 +116,7 @@ func TestFairQueueRemoveReleasesSlot(t *testing.T) {
 // double-accounting between canceller and worker.
 func TestFairQueueRemoveAfterClaimFails(t *testing.T) {
 	clk := newAdmissionClock()
-	fq := newFairQueue(4, 0, nil, clk.Now)
+	fq := newFairQueue(4, 0, clk.Now)
 	e, _ := fq.push(fqTask("x"), "t", PriorityNormal, nil)
 	if got := fq.tryPop(); got != e {
 		t.Fatal("tryPop returned a different entry")
@@ -154,7 +129,7 @@ func TestFairQueueRemoveAfterClaimFails(t *testing.T) {
 // TestFairQueueClosedRefusesPush and drains the backlog through pop.
 func TestFairQueueClosedDrains(t *testing.T) {
 	clk := newAdmissionClock()
-	fq := newFairQueue(4, 0, nil, clk.Now)
+	fq := newFairQueue(4, 0, clk.Now)
 	fq.push(fqTask("queued"), "t", PriorityNormal, nil)
 	fq.close()
 	if _, res := fq.push(fqTask("late"), "t", PriorityNormal, nil); res != pushClosed {

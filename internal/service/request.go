@@ -114,9 +114,9 @@ type Request struct {
 	// instrumentation for that request.
 	TraceID string `json:"-"`
 	// Admitted marks a request the cluster router already admitted
-	// (quota and concurrency limiter charged there): the worker-side
-	// scheduler skips its own quota and limiter so accounting never
-	// double-counts a request crossing the router->worker hop. Set from
+	// (its quota token was charged there): the worker-side scheduler
+	// skips its own quota so accounting never double-counts a request
+	// crossing the router->worker hop. Set from
 	// the X-PN-Admitted header, honoured only when the server runs in
 	// worker mode (serve.Config.TrustAdmitted).
 	Admitted bool `json:"-"`

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,10 +11,8 @@ import (
 	"repro/internal/resilience"
 )
 
-// ShedRetryAfter is the fallback backoff hint attached to shed
-// responses when no measured drain rate is available yet. Once the
-// limiter has seen completions, rejections carry an honest estimate
-// instead.
+// ShedRetryAfter is the backoff hint attached to queue_full and
+// draining rejections.
 const ShedRetryAfter = 250 * time.Millisecond
 
 // SchedulerConfig tunes the worker pool and its admission-control
@@ -29,9 +26,6 @@ type SchedulerConfig struct {
 	// Quota arms per-tenant token-bucket admission quotas (zero value
 	// = disabled).
 	Quota QuotaConfig
-	// Limiter arms the adaptive concurrency limiter (TargetP99 <= 0 =
-	// disabled). MaxLimit defaults to Workers + 3*QueueDepth.
-	Limiter LimiterConfig
 	// Breaker arms the per-tenant, per-scenario-class circuit breakers
 	// (Threshold 0 = disabled).
 	Breaker BreakerConfig
@@ -40,15 +34,15 @@ type SchedulerConfig struct {
 	// aging.
 	AgingThreshold time.Duration
 	// Now is the clock seam (default time.Now). Every time-dependent
-	// admission decision — token refill, aging, breaker cooldowns,
-	// drain-rate estimates — reads this clock, so tests and the
-	// deterministic tenant soak are byte-reproducible.
+	// admission decision — token refill, aging, breaker cooldowns —
+	// reads this clock, so tests and the deterministic tenant soak are
+	// byte-reproducible.
 	Now func() time.Time
 	// Metrics, when non-nil, receives queue-depth and in-flight gauges
-	// plus per-outcome request, tenant, limiter, and breaker counters.
+	// plus per-outcome request, tenant, and breaker counters.
 	Metrics *obs.Registry
 	// Bus, when non-nil, receives admission transitions (admitted, shed
-	// with reason, limiter adjustments, breaker events) as live events.
+	// with reason, breaker events) as live events.
 	// Publishes are gated on Bus.Active(), so an unwatched server pays
 	// one atomic load per decision.
 	Bus *obs.Bus
@@ -66,9 +60,6 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	}
 	if c.AgingThreshold < 0 {
 		c.AgingThreshold = 0 // disabled
-	}
-	if c.Limiter.MaxLimit <= 0 {
-		c.Limiter.MaxLimit = c.Workers + 3*c.QueueDepth
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -91,11 +82,10 @@ type Admit struct {
 	// admission events this request publishes on the bus.
 	Trace *RequestTrace
 	// Trusted marks a request already admitted upstream (the cluster
-	// router's quota and limiter, relayed via the X-PN-Admitted hop
-	// header). Trusted requests skip the local quota and limiter — take
-	// and give back nothing — so fleet accounting never double-counts;
-	// the circuit breaker still applies, because failure history is
-	// worker-local.
+	// router's quota, relayed via the X-PN-Admitted hop header). Trusted
+	// requests skip the local quota — take and give back nothing — so
+	// fleet accounting never double-counts; the circuit breaker still
+	// applies, because failure history is worker-local.
 	Trusted bool
 }
 
@@ -118,31 +108,24 @@ type taskResult struct {
 }
 
 // Scheduler is a bounded worker pool with a multi-tenant admission
-// stack in front of weighted-fair priority lanes:
+// stack in front of fair priority lanes:
 //
-//  1. Per-tenant token-bucket quotas throttle aggressive clients at
-//     the door (reason "quota").
-//  2. Per-(tenant, class) circuit breakers fast-fail scenario classes
+//  1. Per-(tenant, class) circuit breakers fast-fail scenario classes
 //     that keep dying, per tenant, without touching healthy traffic
 //     (reason "breaker_open").
-//  3. An adaptive concurrency limiter (AIMD on observed p99 vs a
-//     target) sheds before the queues saturate (reason "limiter").
-//  4. Each lane is an indexed per-tenant multi-queue drained by
-//     deficit round-robin, with priority aging promoting long-waiting
-//     work so nothing starves (reason "queue_full" when a lane is at
-//     capacity).
+//  2. Per-tenant token-bucket quotas throttle aggressive clients at
+//     the door (reason "quota").
+//  3. Each lane is an indexed per-tenant multi-queue drained
+//     round-robin, with priority aging promoting long-waiting work so
+//     nothing starves (reason "queue_full" when a lane is at capacity).
 //
 // Admission is non-blocking; every refusal is a structured Rejection
-// whose RetryAfterMS is computed from measured state. Each execution
-// runs on its worker under resilience supervision, so at most Workers
-// runs exist and a panicking scenario degrades that one request, not
-// the process.
+// with a RetryAfterMS hint. Each execution runs on its worker under
+// resilience supervision, so at most Workers runs exist and a
+// panicking scenario degrades that one request, not the process.
 type Scheduler struct {
-	cfg      SchedulerConfig
-	fq       *fairQueue
-	quotas   *TenantQuotas
-	limiter  *Limiter
-	breakers *breakerSet
+	cfg SchedulerConfig
+	admission
 
 	mu       sync.Mutex
 	draining bool
@@ -156,16 +139,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{cfg: cfg}
 	s.quotas = NewTenantQuotas(cfg.Quota, cfg.Now)
-	lim := cfg.Limiter
-	lim.OnAdjust = func(direction string, limit int) {
-		cfg.Metrics.Inc(obs.MetricServeLimitEvents, obs.L("direction", direction))
-		cfg.Metrics.Set(obs.MetricServeLimitValue, float64(limit))
-		if cfg.Bus.Active() {
-			cfg.Bus.Publish(obs.KindAdmission, "", "", map[string]string{
-				"action": "limit", "direction": direction, "limit": strconv.Itoa(limit)})
-		}
-	}
-	s.limiter = NewLimiter(lim)
 	brk := cfg.Breaker
 	brk.OnEvent = func(event, tenant, class string) {
 		cfg.Metrics.Inc(obs.MetricServeBreakerEvents,
@@ -176,7 +149,8 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		}
 	}
 	s.breakers = newBreakerSet(brk, cfg.Now)
-	s.fq = newFairQueue(cfg.QueueDepth, cfg.AgingThreshold, cfg.Quota.WeightFor, cfg.Now)
+	s.fq = newFairQueue(cfg.QueueDepth, cfg.AgingThreshold, cfg.Now)
+	s.now = cfg.Now
 	s.fq.onPromote = func(tenant string) {
 		cfg.Metrics.Inc(obs.MetricServeAgedPromotions, obs.L("tenant", tenant))
 	}
@@ -213,10 +187,6 @@ func (s *Scheduler) Wait() { s.wg.Wait() }
 // QueueLen returns a lane's current depth (all tenants).
 func (s *Scheduler) QueueLen(p Priority) int { return s.fq.len(p) }
 
-// Limiter exposes the adaptive concurrency limiter (readiness probes
-// read Saturated).
-func (s *Scheduler) Limiter() *Limiter { return s.limiter }
-
 // Quotas exposes the tenant quota table (for tests and tooling).
 func (s *Scheduler) Quotas() *TenantQuotas { return s.quotas }
 
@@ -232,14 +202,13 @@ func (s *Scheduler) AgedPromotions() uint64 { return s.fq.Promotions() }
 // Do admits fn for adm and waits for its completion. The contract the
 // serving layer depends on:
 //
-//   - Every refusal — tenant out of quota, breaker open, limiter at
-//     its adaptive limit, lane full, draining — returns a *Rejection
-//     immediately with a machine-readable Reason and an honest
-//     RetryAfterMS.
+//   - Every refusal — breaker open, tenant out of quota, lane full,
+//     draining — returns a *Rejection immediately with a
+//     machine-readable Reason and a RetryAfterMS hint.
 //   - After Drain, every Do returns the draining Rejection.
 //   - A request whose ctx ends while still queued is never executed;
-//     it is surgically removed from its fairness queue and its quota
-//     token and limiter slot are given back, and Do returns ctx.Err().
+//     it is surgically removed from its fairness queue, its quota token
+//     is given back, and Do returns ctx.Err().
 //   - A half-open breaker probe shed, cancelled or expired before it
 //     ran, or cancelled during its run, is released for the next one.
 //   - fn runs on a worker under resilience supervision, with ctx:
@@ -255,26 +224,7 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 	if s.Draining() {
 		return nil, s.reject(adm, ReasonDraining, ShedRetryAfter)
 	}
-	ok, probe, wait := s.breakers.allow(adm.Tenant, adm.Class)
-	if !ok {
-		s.shed(adm, ReasonBreakerOpen)
-		return nil, s.reject(adm, ReasonBreakerOpen, wait)
-	}
-	if !adm.Trusted {
-		if ok, wait := s.quotas.TryTake(adm.Tenant); !ok {
-			s.breakers.release(adm.Tenant, adm.Class, probe)
-			s.shed(adm, ReasonQuota)
-			return nil, s.reject(adm, ReasonQuota, wait)
-		}
-	}
-	now := s.cfg.Now()
-	if !adm.Trusted && !s.limiter.TryAcquire() {
-		s.quotas.Refund(adm.Tenant)
-		s.breakers.release(adm.Tenant, adm.Class, probe)
-		s.shed(adm, ReasonLimiter)
-		return nil, s.reject(adm, ReasonLimiter, s.limiter.RetryAfter(now, ShedRetryAfter))
-	}
-	t := &task{ctx: ctx, adm: adm, fn: fn, done: make(chan taskResult, 1), admitted: now, probe: probe}
+	t := &task{ctx: ctx, adm: adm, fn: fn, done: make(chan taskResult, 1)}
 	// The admission event is published before a worker can claim the
 	// task, so the stream never shows its queue wait ending first.
 	var announce func()
@@ -284,15 +234,12 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 				"action": "admitted", "lane": adm.Priority.String()})
 		}
 	}
-	entry, pres := s.fq.push(t, adm.Tenant, adm.Priority, announce)
-	switch pres {
-	case pushFull:
-		s.refund(t)
-		s.shed(adm, ReasonQueueFull)
-		return nil, s.reject(adm, ReasonQueueFull, s.limiter.RetryAfter(now, ShedRetryAfter))
-	case pushClosed:
-		s.refund(t)
-		return nil, s.reject(adm, ReasonDraining, ShedRetryAfter)
+	entry, reason, wait := s.admit(t, announce)
+	if entry == nil {
+		if reason != ReasonDraining {
+			s.shed(adm, reason)
+		}
+		return nil, s.reject(adm, reason, wait)
 	}
 	s.gauges()
 	select {
@@ -301,8 +248,8 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 	case <-ctx.Done():
 		if s.fq.remove(entry) {
 			// Still queued: the request consumed nothing, so its lane
-			// slot, quota token, limiter slot and any breaker probe are
-			// all given back — the no-leak contract.
+			// slot, quota token and any breaker probe are all given
+			// back — the no-leak contract.
 			s.refund(t)
 			s.gauges()
 			s.count(adm, ctxOutcome(ctx.Err()))
@@ -320,19 +267,6 @@ func ctxOutcome(err error) string {
 		return "timeout"
 	}
 	return "canceled"
-}
-
-// refund gives back what a task that never ran took: its breaker
-// probe, and the quota token and limiter slot a non-trusted admission
-// took. Trusted admissions took neither of the last two, so they
-// return neither — the accounting stays balanced on both paths.
-func (s *Scheduler) refund(t *task) {
-	s.breakers.release(t.adm.Tenant, t.adm.Class, t.probe)
-	if t.adm.Trusted {
-		return
-	}
-	s.quotas.Refund(t.adm.Tenant)
-	s.limiter.Cancel()
 }
 
 // reject builds the structured refusal for adm.
@@ -381,10 +315,6 @@ func (s *Scheduler) gauges() {
 	for p := PriorityHigh; p <= PriorityLow; p++ {
 		s.cfg.Metrics.Set(obs.MetricServeQueueDepth, float64(s.fq.len(p)), obs.L("lane", p.String()))
 	}
-	if s.limiter.Enabled() {
-		s.cfg.Metrics.Set(obs.MetricServeLimitValue, float64(s.limiter.Limit()))
-		s.cfg.Metrics.Set(obs.MetricServeLimitOutstanding, float64(s.limiter.Outstanding()))
-	}
 }
 
 // worker drains the fair queue until Drain and all lanes are empty.
@@ -404,13 +334,9 @@ func (s *Scheduler) worker() {
 // counts its one outcome.
 func (s *Scheduler) execute(t *task) {
 	if err := t.ctx.Err(); err != nil {
-		// Cancelled or expired between claim and execution: never run.
-		// The limiter slot is returned without a latency sample, and a
-		// breaker probe without a verdict.
+		// Cancelled or expired between claim and execution: never run,
+		// and a breaker probe is released without a verdict.
 		s.breakers.release(t.adm.Tenant, t.adm.Class, t.probe)
-		if !t.adm.Trusted {
-			s.limiter.Cancel()
-		}
 		s.count(t.adm, ctxOutcome(err))
 		t.done <- taskResult{err: err}
 		return
@@ -430,13 +356,6 @@ func (s *Scheduler) execute(t *task) {
 	}, resilience.Policy{MaxAttempts: 1})
 
 	end := s.cfg.Now()
-	// The limiter's AIMD signal is the full admission-to-completion
-	// sojourn time: queueing delay is the earliest symptom of overload.
-	// Trusted work never acquired a slot, so it contributes no sample —
-	// the router's limiter observes the end-to-end latency instead.
-	if !t.adm.Trusted {
-		s.limiter.Release(end.Sub(t.admitted), end)
-	}
 	s.cfg.Metrics.Observe(obs.MetricServeLatency, durMS(end.Sub(start)),
 		obs.L("lane", t.adm.Priority.String()))
 

@@ -32,11 +32,10 @@ func occupyWorker(t *testing.T, s *Scheduler, tenant string) (release chan struc
 	return release, done
 }
 
-// TestCancelledQueuedReleasesQuotaAndLimiter is the no-leak satellite
-// contract, exercised under every lane: a request cancelled while
-// queued gives back its fairness-queue slot, its quota token, and its
-// limiter slot.
-func TestCancelledQueuedReleasesQuotaAndLimiter(t *testing.T) {
+// TestCancelledQueuedReleasesQuota is the no-leak contract, exercised
+// under every lane: a request cancelled while queued gives back its
+// fairness-queue slot and its quota token.
+func TestCancelledQueuedReleasesQuota(t *testing.T) {
 	for _, lane := range []Priority{PriorityHigh, PriorityNormal, PriorityLow} {
 		t.Run(lane.String(), func(t *testing.T) {
 			clk := newAdmissionClock()
@@ -44,11 +43,10 @@ func TestCancelledQueuedReleasesQuotaAndLimiter(t *testing.T) {
 				Workers:    1,
 				QueueDepth: 4,
 				Quota:      QuotaConfig{Rate: 100, Burst: 3},
-				Limiter:    LimiterConfig{TargetP99: time.Second, MaxLimit: 4},
 				Now:        clk.Now, // frozen: no refill, so token counts are exact
 			})
 			release, blockerDone := occupyWorker(t, s, "acme")
-			// Blocker holds one token and one limiter slot.
+			// Blocker holds one token.
 			if got := s.Quotas().Tokens("acme"); got != 2 {
 				t.Fatalf("tokens with blocker running = %g, want 2", got)
 			}
@@ -72,9 +70,6 @@ func TestCancelledQueuedReleasesQuotaAndLimiter(t *testing.T) {
 			if got := s.Quotas().Tokens("acme"); got != 1 {
 				t.Fatalf("tokens with victim queued = %g, want 1", got)
 			}
-			if got := s.Limiter().Outstanding(); got != 2 {
-				t.Fatalf("limiter outstanding with victim queued = %d, want 2", got)
-			}
 
 			cancel()
 			select {
@@ -91,17 +86,11 @@ func TestCancelledQueuedReleasesQuotaAndLimiter(t *testing.T) {
 			if got := s.Quotas().Tokens("acme"); got != 2 {
 				t.Fatalf("tokens after cancel = %g, want 2 (token leaked)", got)
 			}
-			if got := s.Limiter().Outstanding(); got != 1 {
-				t.Fatalf("limiter outstanding after cancel = %d, want 1 (slot leaked)", got)
-			}
 
 			close(release)
 			<-blockerDone
 			s.Drain()
 			s.Wait()
-			if got := s.Limiter().Outstanding(); got != 0 {
-				t.Fatalf("limiter outstanding after drain = %d, want 0", got)
-			}
 		})
 	}
 }
@@ -114,7 +103,6 @@ func TestDrainConcurrentWithAdmission(t *testing.T) {
 		Workers:    2,
 		QueueDepth: 8,
 		Quota:      QuotaConfig{Rate: 1e6, Burst: 1e6},
-		Limiter:    LimiterConfig{TargetP99: time.Second, MaxLimit: 64},
 	})
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -137,9 +125,6 @@ func TestDrainConcurrentWithAdmission(t *testing.T) {
 	s.Drain()
 	wg.Wait()
 	s.Wait()
-	if got := s.Limiter().Outstanding(); got != 0 {
-		t.Fatalf("limiter outstanding after quiesce = %d, want 0", got)
-	}
 }
 
 // TestQuotaRejection: an out-of-tokens tenant is shed with the quota
@@ -178,31 +163,6 @@ func TestQuotaRejection(t *testing.T) {
 	if _, err := s.Do(context.Background(), Admit{Tenant: "polite", Priority: PriorityNormal, ID: "three"},
 		func(ctx context.Context) (any, error) { return nil, nil }); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
-	}
-}
-
-// TestLimiterRejection: with every limiter slot held, admission sheds
-// with the limiter reason.
-func TestLimiterRejection(t *testing.T) {
-	s := NewScheduler(SchedulerConfig{
-		Workers:    1,
-		QueueDepth: 4,
-		Limiter:    LimiterConfig{TargetP99: time.Second, MaxLimit: 1},
-	})
-	release, blockerDone := occupyWorker(t, s, "")
-	defer func() { close(release); <-blockerDone; s.Drain(); s.Wait() }()
-
-	_, err := s.Do(context.Background(), Admit{Priority: PriorityNormal, ID: "over"},
-		func(ctx context.Context) (any, error) {
-			t.Error("limiter-rejected request executed")
-			return nil, nil
-		})
-	var rej *Rejection
-	if !errors.As(err, &rej) || rej.Reason != ReasonLimiter || rej.Code != 429 {
-		t.Fatalf("Do returned %v, want 429 limiter Rejection", err)
-	}
-	if rej.RetryAfterMS <= 0 {
-		t.Fatalf("limiter RetryAfterMS = %d, want > 0", rej.RetryAfterMS)
 	}
 }
 

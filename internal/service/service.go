@@ -43,9 +43,6 @@ type Config struct {
 	// Quota arms per-tenant token-bucket admission quotas (zero value =
 	// disabled; see QuotaConfig).
 	Quota QuotaConfig
-	// Limiter arms the adaptive concurrency limiter (TargetP99 <= 0 =
-	// disabled; see LimiterConfig).
-	Limiter LimiterConfig
 	// Breaker arms per-tenant, per-scenario-class circuit breakers
 	// (Threshold 0 = disabled; see BreakerConfig).
 	Breaker BreakerConfig
@@ -128,7 +125,6 @@ func New(cfg Config) *Service {
 			Workers:        cfg.Workers,
 			QueueDepth:     cfg.QueueDepth,
 			Quota:          cfg.Quota,
-			Limiter:        cfg.Limiter,
 			Breaker:        cfg.Breaker,
 			AgingThreshold: cfg.AgingThreshold,
 			Now:            cfg.Now,
@@ -183,9 +179,6 @@ func describeServeMetrics(reg *obs.Registry) {
 	reg.Describe(obs.MetricServeTenantRequests, "serving requests finished, by tenant and outcome", obs.TypeCounter)
 	reg.Describe(obs.MetricServeTenantShed, "requests shed at admission, by tenant and reason", obs.TypeCounter)
 	reg.Describe(obs.MetricServeAgedPromotions, "queued requests served via priority aging, by tenant", obs.TypeCounter)
-	reg.Describe(obs.MetricServeLimitValue, "adaptive concurrency limit", obs.TypeGauge)
-	reg.Describe(obs.MetricServeLimitOutstanding, "outstanding work under the concurrency limiter", obs.TypeGauge)
-	reg.Describe(obs.MetricServeLimitEvents, "adaptive-limit adjustments, by direction", obs.TypeCounter)
 	reg.Describe(obs.MetricServeBreakerEvents, "circuit-breaker transitions, by event, tenant, and class", obs.TypeCounter)
 	reg.Describe(obs.MetricServePool, "image template pool events, by event", obs.TypeCounter)
 	reg.Describe(obs.MetricServeQueueDepth, "admission-queue depth, by lane", obs.TypeGauge)

@@ -45,11 +45,10 @@ type SoakConfig struct {
 	// uniformly.
 	ServiceMin time.Duration `json:"-"`
 	ServiceMax time.Duration `json:"-"`
-	// Quota/Breaker/Limiter/Aging arm the same admission components the
-	// live scheduler composes.
+	// Quota/Breaker/Aging arm the same admission components the live
+	// scheduler composes.
 	Quota   QuotaConfig   `json:"-"`
 	Breaker BreakerConfig `json:"-"`
-	Limiter LimiterConfig `json:"-"`
 	Aging   time.Duration `json:"-"`
 	// StarvationBudget is the queue wait past which a served request
 	// counts as starved (default 10x Aging, or 1s when aging is off).
@@ -98,7 +97,6 @@ func DefaultSoakConfig(seed int64) SoakConfig {
 		ServiceMax: 12 * time.Millisecond,
 		Quota:      QuotaConfig{Rate: 150, Burst: 75},
 		Breaker:    BreakerConfig{Threshold: 5, Cooldown: 500 * time.Millisecond},
-		Limiter:    LimiterConfig{TargetP99: 250 * time.Millisecond, MaxLimit: 4 + 3*64},
 		Aging:      100 * time.Millisecond,
 		Tenants: []TenantSpec{
 			{Name: "greedy", Pattern: "steady", Rate: 500, Priority: "high"},
@@ -200,6 +198,9 @@ func arrivalSchedule(cfg SoakConfig) []soakArrival {
 	return all
 }
 
+// soakClass is the breaker class every soak request runs under.
+const soakClass = "scenario/soak"
+
 // soakJob is one admitted request flowing through the simulated pool.
 type soakJob struct {
 	tenant   int
@@ -209,11 +210,11 @@ type soakJob struct {
 }
 
 // RunTenantSoak runs the adversarial multi-tenant soak as a
-// discrete-event simulation on a virtual clock. It composes the same
-// admission components the live scheduler uses — TenantQuotas,
-// fairQueue, Limiter, breakerSet — but drives them synchronously, so
-// for a fixed seed the report is byte-deterministic: no wall clock, no
-// goroutine interleaving, no map-order dependence.
+// discrete-event simulation on a virtual clock. It admits every
+// request through the live scheduler's own admission sequence — the
+// same breakers, quotas and fair queue — but drives the queue
+// synchronously, so for a fixed seed the report is byte-deterministic:
+// no wall clock, no goroutine interleaving, no map-order dependence.
 func RunTenantSoak(cfg SoakConfig) *SoakReport {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -221,8 +222,6 @@ func RunTenantSoak(cfg SoakConfig) *SoakReport {
 	var cur time.Duration // virtual now
 	now := func() time.Time { return epoch.Add(cur) }
 
-	quotas := NewTenantQuotas(cfg.Quota, now)
-	limiter := NewLimiter(cfg.Limiter)
 	breakerOpens := 0
 	bcfg := cfg.Breaker
 	bcfg.OnEvent = func(event, tenant, class string) {
@@ -231,7 +230,8 @@ func RunTenantSoak(cfg SoakConfig) *SoakReport {
 		}
 	}
 	breakers := newBreakerSet(bcfg, now)
-	fq := newFairQueue(cfg.QueueDepth, cfg.Aging, cfg.Quota.WeightFor, now)
+	fq := newFairQueue(cfg.QueueDepth, cfg.Aging, now)
+	adm := admission{quotas: NewTenantQuotas(cfg.Quota, now), breakers: breakers, fq: fq, now: now}
 
 	arrivals := arrivalSchedule(cfg)
 
@@ -255,16 +255,15 @@ func RunTenantSoak(cfg SoakConfig) *SoakReport {
 		spec := cfg.Tenants[j.tenant]
 		st := &stats[j.tenant]
 		lat := w.busyUntil - j.enq
-		limiter.Release(lat, epoch.Add(w.busyUntil))
 		if j.priority == PriorityLow && j.start-j.enq > cfg.StarvationBudget {
 			lowStarved++
 		}
 		if spec.ChaosProb > 0 && rng.Float64() < spec.ChaosProb {
-			breakers.failure(spec.Name, "scenario/soak")
+			breakers.failure(spec.Name, soakClass)
 			st.Failed++
 			return
 		}
-		breakers.success(spec.Name, "scenario/soak")
+		breakers.success(spec.Name, soakClass)
 		st.Completed++
 		latencies[j.tenant] = append(latencies[j.tenant], float64(lat.Microseconds())/1000)
 	}
@@ -327,25 +326,10 @@ func RunTenantSoak(cfg SoakConfig) *SoakReport {
 		spec := cfg.Tenants[a.tenant]
 		st := &stats[a.tenant]
 		st.Offered++
-		if ok, _, _ := breakers.allow(spec.Name, "scenario/soak"); !ok {
-			st.Shed[ReasonBreakerOpen]++
-			continue
-		}
-		if ok, _ := quotas.TryTake(spec.Name); !ok {
-			st.Shed[ReasonQuota]++
-			continue
-		}
-		if !limiter.TryAcquire() {
-			quotas.Refund(spec.Name)
-			st.Shed[ReasonLimiter]++
-			continue
-		}
 		j := &soakJob{tenant: a.tenant, priority: a.priority, enq: a.at}
-		t := &task{adm: Admit{Tenant: spec.Name, Priority: a.priority}, soak: j}
-		if _, res := fq.push(t, spec.Name, a.priority, nil); res != pushOK {
-			quotas.Refund(spec.Name)
-			limiter.Cancel()
-			st.Shed[ReasonQueueFull]++
+		t := &task{adm: Admit{Tenant: spec.Name, Priority: a.priority, Class: soakClass}, soak: j}
+		if e, reason, _ := adm.admit(t, nil); e == nil {
+			st.Shed[reason]++
 			continue
 		}
 		st.Admitted++

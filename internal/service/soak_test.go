@@ -3,9 +3,43 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestSoakGolden pins the default soak's report byte for byte at two
+// seeds, as pnload -tenants writes it. Regenerate with
+// go test ./internal/service -run TestSoakGolden -update
+func TestSoakGolden(t *testing.T) {
+	for _, seed := range []int64{42, 7} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			got, err := json.MarshalIndent(RunTenantSoak(DefaultSoakConfig(seed)), "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
+			path := filepath.Join("testdata", fmt.Sprintf("soak_seed%d.json", seed))
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("soak report at seed %d drifted from %s:\n%s", seed, path, got)
+			}
+		})
+	}
+}
 
 // TestSoakByteDeterministic: equal seeds produce byte-equal reports —
 // the property the CI gate relies on to diff two runs.
@@ -95,6 +129,33 @@ func TestSoakChaosFeedsBreaker(t *testing.T) {
 		if ts.Shed[ReasonBreakerOpen] != 0 {
 			t.Fatalf("tenant %s shed by another tenant's breaker", name)
 		}
+	}
+}
+
+// TestSoakReleasesShedProbe: a half-open probe that the quota sheds
+// gives the probe back, so a tenant whose executions keep dying still
+// gets a probe on its next request after each cooldown instead of
+// answering breaker_open for good.
+func TestSoakReleasesShedProbe(t *testing.T) {
+	rep := RunTenantSoak(SoakConfig{
+		Seed:     1,
+		Duration: 10 * time.Second,
+		Quota:    QuotaConfig{Rate: 5, Burst: 1},
+		Breaker:  BreakerConfig{Threshold: 1, Cooldown: 100 * time.Millisecond},
+		Tenants: []TenantSpec{
+			{Name: "flaky", Pattern: "steady", Rate: 50, Priority: "normal", ChaosProb: 0.5},
+		},
+	})
+	flaky, err := rep.TenantByName("flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flaky.Shed[ReasonBreakerOpen] >= flaky.Shed[ReasonQuota] {
+		t.Errorf("breaker_open sheds = %d, quota sheds = %d; want fewer breaker_open (a shed probe was never released)",
+			flaky.Shed[ReasonBreakerOpen], flaky.Shed[ReasonQuota])
+	}
+	if flaky.Admitted < 20 {
+		t.Errorf("admitted %d of %d, want at least 20 (shed %v)", flaky.Admitted, flaky.Offered, flaky.Shed)
 	}
 }
 
