@@ -94,11 +94,7 @@ func run(args []string, out io.Writer) error {
 			exitDiags++
 		}
 		if *baseline {
-			bf, err := analyzer.Baseline(string(src))
-			if err != nil {
-				return err
-			}
-			for _, f := range bf {
+			for _, f := range r.Baseline() {
 				if *jsonOut {
 					jsonFindings = append(jsonFindings, jsonFinding{
 						File: path, Line: f.Pos.Line, Col: f.Pos.Col,

@@ -70,6 +70,8 @@ type Options struct {
 type Result struct {
 	Prog  *Program
 	Diags []Diagnostic
+
+	toks []Token // the lexed source, for Baseline
 }
 
 // Codes returns the distinct diagnostic codes present, sorted.
@@ -98,7 +100,11 @@ func (r *Result) HasCode(code string) bool {
 
 // Analyze parses and checks a mini-C++ translation unit.
 func Analyze(src string, opts Options) (*Result, error) {
-	prog, err := ParseProgram(src)
+	toks, err := lexAll(src)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := parseTokens(toks)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +133,7 @@ func Analyze(src string, opts Options) (*Result, error) {
 		}
 		diags = append(diags, d)
 	}
-	return &Result{Prog: prog, Diags: diags}, nil
+	return &Result{Prog: prog, Diags: diags, toks: toks}, nil
 }
 
 // taintSources are callee names whose return value is attacker-influenced

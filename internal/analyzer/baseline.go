@@ -37,6 +37,19 @@ func Baseline(src string) ([]BaselineFinding, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sweepRiskyCalls(toks), nil
+}
+
+// Baseline runs the traditional scanner over the tokens Analyze lexed,
+// so a caller that runs both planes lexes the source once. It returns
+// what Baseline returns for the analysed source.
+func (r *Result) Baseline() []BaselineFinding {
+	return sweepRiskyCalls(r.toks)
+}
+
+// sweepRiskyCalls reports each risky call in a token stream: an
+// identifier from riskyCalls followed by "(".
+func sweepRiskyCalls(toks []Token) []BaselineFinding {
 	var out []BaselineFinding
 	for i := 0; i+1 < len(toks); i++ {
 		t := toks[i]
@@ -55,5 +68,5 @@ func Baseline(src string) ([]BaselineFinding, error) {
 			})
 		}
 	}
-	return out, nil
+	return out
 }

@@ -1,9 +1,14 @@
 package analyzer
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // FuzzAnalyze checks that arbitrary inputs never panic the front end or
 // the checks: every input either parses and analyses or returns an error.
+// An accepted input's Result.Baseline, which sweeps the tokens Analyze
+// lexed, must equal Baseline's sweep of a fresh lex.
 func FuzzAnalyze(f *testing.F) {
 	for _, e := range Corpus() {
 		f.Add(e.Src)
@@ -19,6 +24,13 @@ func FuzzAnalyze(f *testing.F) {
 		r, err := Analyze(src, Options{})
 		if err != nil {
 			return
+		}
+		want, err := Baseline(src)
+		if err != nil {
+			t.Fatalf("Analyze accepted a source Baseline cannot lex: %v", err)
+		}
+		if got := r.Baseline(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Result.Baseline = %+v, Baseline(src) = %+v", got, want)
 		}
 		// Accepted programs produce well-formed diagnostics.
 		for _, d := range r.Diags {

@@ -19,6 +19,11 @@ func ParseProgram(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(toks)
+}
+
+// parseTokens parses a token stream lexAll produced.
+func parseTokens(toks []Token) (*Program, error) {
 	p := &parser{toks: toks, classes: make(map[string]bool)}
 	return p.program()
 }

@@ -28,10 +28,7 @@ func runE16(Instrument) (*report.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: corpus %s: %w", e.Name, err)
 		}
-		bf, err := analyzer.Baseline(e.Src)
-		if err != nil {
-			return nil, err
-		}
+		bf := r.Baseline()
 		codes := strings.Join(r.Codes(), " ")
 		if codes == "" {
 			codes = "-"

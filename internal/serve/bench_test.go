@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/foundry"
 )
 
 // BenchmarkRunBypass serves one no_cache /run per iteration through
@@ -38,5 +41,43 @@ func BenchmarkRunBypass(b *testing.B) {
 				run()
 			}
 		})
+	}
+}
+
+// BenchmarkAnalyzeBatch serves one /analyze batch per iteration
+// through Handler(), as the analyze workload sends it: foundry
+// programs 0..15 of seed 1, JSON-encoded by the client. Each request
+// decodes the body, runs both analysis planes over all 16 programs and
+// encodes the reply:
+//
+//	go test ./internal/serve -run '^$' -bench AnalyzeBatch -benchmem
+func BenchmarkAnalyzeBatch(b *testing.B) {
+	var progs []AnalyzeProgram
+	for i := 0; i < 16; i++ {
+		g, err := foundry.Generate(1, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, AnalyzeProgram{Name: g.Labels.Name, Src: g.Src})
+	}
+	body, err := json.Marshal(AnalyzeRequest{Programs: progs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(Config{Workers: 2, Queue: 64, CacheSize: 512})
+	defer srv.Service().Drain()
+	h := srv.Handler()
+	run := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/analyze", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("POST /analyze = %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

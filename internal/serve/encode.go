@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/service"
 )
@@ -35,10 +36,14 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // A RunResponse takes a fast path with no reflection and no re-indent
 // pass: its Result is written by appendResult, or copied from the
 // encoding kept on it once it is served from the cache, and the
-// envelope fields follow.
+// envelope fields follow. An AnalyzeResponse is written directly by
+// encodeAnalyze.
 func EncodeJSON(v any) ([]byte, error) {
-	if r, ok := v.(RunResponse); ok {
+	switch r := v.(type) {
+	case RunResponse:
 		return encodeRun(r)
+	case AnalyzeResponse:
+		return encodeAnalyze(r)
 	}
 	return encodeIndented(v)
 }
@@ -96,6 +101,100 @@ func encodeRun(v RunResponse) ([]byte, error) {
 		b = appendFloats(b, v.Stages, "  ")
 	}
 	return append(b, "\n}\n"...), nil
+}
+
+// encodeAnalyze encodes an AnalyzeResponse as json.MarshalIndent(v,
+// "", "  ") writes it, plus the newline: the fields in struct order, an
+// omitempty field left out when it is empty, a nil Results as null and
+// an empty one as []. A response whose items carry a triage block goes
+// to encodeIndented whole; the triage itself costs far more than its
+// encoding. A field added to AnalyzeResponse, AnalyzeItem or
+// AnalysisFinding must be added here too;
+// TestAnalyzeEncoderCoversEveryField fails until it is.
+func encodeAnalyze(v AnalyzeResponse) ([]byte, error) {
+	// The buffer is sized as resultSize sizes a Result's: every string
+	// as if it needed no escaping, plus the punctuation and indentation
+	// around it. Foundry batches encode to 97–99% of it.
+	n := 96
+	for i := range v.Results {
+		it := &v.Results[i]
+		if it.Triage != nil {
+			return encodeIndented(v)
+		}
+		n += 64 + len(it.Name) + len(it.Error)
+		for j := range it.Findings {
+			f := &it.Findings[j]
+			n += 192 + len(f.Plane) + len(f.Severity) + len(f.Code) + len(f.Message) + len(f.Suggestion)
+		}
+	}
+	b := append(make([]byte, 0, n), "{\n  \"results\": "...)
+	switch {
+	case v.Results == nil:
+		b = append(b, "null"...)
+	case len(v.Results) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i := range v.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendAnalyzeItem(b, &v.Results[i])
+		}
+		b = append(b, "\n  ]"...)
+	}
+	b = append(b, ",\n  \"ok\": "...)
+	b = strconv.AppendInt(b, int64(v.OK), 10)
+	b = append(b, ",\n  \"failed\": "...)
+	b = strconv.AppendInt(b, int64(v.Failed), 10)
+	b = append(b, ",\n  \"serve_ns\": "...)
+	b = strconv.AppendInt(b, v.ServeNS, 10)
+	return append(b, "\n}\n"...), nil
+}
+
+// appendAnalyzeItem appends one element of an AnalyzeResponse's
+// results array, with no triage block.
+func appendAnalyzeItem(b []byte, it *AnalyzeItem) []byte {
+	b = append(b, "\n    {\n      \"name\": "...)
+	b = appendString(b, it.Name)
+	b = append(b, ",\n      \"code\": "...)
+	b = strconv.AppendInt(b, int64(it.Code), 10)
+	if it.Error != "" {
+		b = append(b, ",\n      \"error\": "...)
+		b = appendString(b, it.Error)
+	}
+	if len(it.Findings) > 0 {
+		b = append(b, ",\n      \"findings\": ["...)
+		for j := range it.Findings {
+			f := &it.Findings[j]
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n        {\n          \"plane\": "...)
+			b = appendString(b, f.Plane)
+			if f.Severity != "" {
+				b = append(b, ",\n          \"severity\": "...)
+				b = appendString(b, f.Severity)
+			}
+			if f.Code != "" {
+				b = append(b, ",\n          \"code\": "...)
+				b = appendString(b, f.Code)
+			}
+			b = append(b, ",\n          \"line\": "...)
+			b = strconv.AppendInt(b, int64(f.Line), 10)
+			b = append(b, ",\n          \"col\": "...)
+			b = strconv.AppendInt(b, int64(f.Col), 10)
+			b = append(b, ",\n          \"message\": "...)
+			b = appendString(b, f.Message)
+			if f.Suggestion != "" {
+				b = append(b, ",\n          \"suggestion\": "...)
+				b = appendString(b, f.Suggestion)
+			}
+			b = append(b, "\n        }"...)
+		}
+		b = append(b, "\n      ]"...)
+	}
+	return append(b, "\n    }"...)
 }
 
 // appendResult appends r as json.MarshalIndent(r, "", "  ") writes it:
@@ -269,19 +368,35 @@ func appendFloats(b []byte, m map[string]float64, indent string) []byte {
 }
 
 // appendString appends s as a JSON string. Printable ASCII that
-// encoding/json leaves unescaped is copied; anything else (quotes,
-// backslashes, the HTML-escaped <, > and &, control bytes, non-ASCII)
-// goes through encoding/json itself.
+// encoding/json leaves unescaped is copied, and so is valid UTF-8 other
+// than U+2028 and U+2029; anything else (quotes, backslashes, the
+// HTML-escaped <, > and &, control bytes, invalid UTF-8 and those two
+// separators) goes through encoding/json itself.
 func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(b, q...)
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				return appendMarshaled(b, s)
+			}
+			i++
+			continue
 		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
+			return appendMarshaled(b, s)
+		}
+		i += n
 	}
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// appendMarshaled appends s as encoding/json writes it.
+func appendMarshaled(b []byte, s string) []byte {
+	q, _ := json.Marshal(s) // a string always encodes
+	return append(b, q...)
 }
 
 // appendFloat appends a finite f as encoding/json writes a float64:

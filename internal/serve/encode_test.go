@@ -13,8 +13,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analyzer"
 	"repro/internal/attack"
 	"repro/internal/defense"
+	"repro/internal/foundry"
 	"repro/internal/layout"
 	"repro/internal/report"
 	"repro/internal/service"
@@ -453,4 +455,121 @@ func TestDeterministicServerUptime(t *testing.T) {
 			t.Errorf("%s uptime_ms = %v, want [0, 60000)", path, out["uptime_ms"])
 		}
 	}
+}
+
+// checkAnalyzeEncoding holds EncodeJSON's AnalyzeResponse body to the
+// reflective encoder's, through WriteJSON's framing too.
+func checkAnalyzeEncoding(t *testing.T, what string, v AnalyzeResponse) {
+	t.Helper()
+	want, err := encodeIndented(v)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if got, err := EncodeJSON(v); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("%s (err %v):\ngot  %q\nwant %q", what, err, got, want)
+	}
+	if got := writeBody(t, v); !bytes.Equal(got, want) {
+		t.Fatalf("%s through WriteJSON:\ngot  %q\nwant %q", what, got, want)
+	}
+}
+
+// TestAnalyzeResponseMatchesEncoder holds the /analyze body to the
+// reflective encoder over the items the server builds: foundry
+// programs 0..499 of seed 42 in batches of 16, the listing corpus, a
+// parse failure, a foundry-triage item, and nil and empty results.
+func TestAnalyzeResponseMatchesEncoder(t *testing.T) {
+	var items []AnalyzeItem
+	for i := 0; i < 500; i++ {
+		g, err := foundry.Generate(42, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, analyzeOne(g.Labels.Name, g.Src))
+	}
+	for i := 0; i < len(items); i += 16 {
+		batch := items[i:min(i+16, len(items))]
+		checkAnalyzeEncoding(t, "foundry batch "+strconv.Itoa(i/16), AnalyzeResponse{Results: batch, OK: len(batch), ServeNS: int64(i) * 7919})
+	}
+	var corpus []AnalyzeItem
+	for _, e := range analyzer.Corpus() {
+		corpus = append(corpus, analyzeOne(e.Name, e.Src))
+	}
+	checkAnalyzeEncoding(t, "corpus", AnalyzeResponse{Results: corpus, OK: len(corpus), ServeNS: 1})
+	broken := analyzeOne("broken", "class {{{")
+	if broken.Code != http.StatusBadRequest || broken.Error == "" {
+		t.Fatalf("parse failure item = %+v", broken)
+	}
+	checkAnalyzeEncoding(t, "parse failure", AnalyzeResponse{Results: []AnalyzeItem{broken, items[0]}, OK: 1, Failed: 1})
+	g, err := foundry.Generate(42, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triaged := analyzeOne(g.Labels.Name, g.Src)
+	if triaged.Triage, err = foundry.TriageProgram(g); err != nil {
+		t.Fatal(err)
+	}
+	checkAnalyzeEncoding(t, "triage", AnalyzeResponse{Results: []AnalyzeItem{items[1], triaged}, OK: 2})
+	checkAnalyzeEncoding(t, "nil results", AnalyzeResponse{})
+	checkAnalyzeEncoding(t, "empty results", AnalyzeResponse{Results: []AnalyzeItem{}, Failed: -3, ServeNS: math.MaxInt64})
+}
+
+// TestAnalyzeEncoderCoversEveryField sets each exported field of
+// AnalyzeResponse, AnalyzeItem and AnalysisFinding in turn to each of
+// its test values, then all of them at once, and holds the direct
+// encoder to encoding/json on every one. A field encodeAnalyze does
+// not write fails here; so does a field of a kind with no test values.
+func TestAnalyzeEncoderCoversEveryField(t *testing.T) {
+	// Each field is reached from a response holding one item with one
+	// finding; set picks the struct that holds it.
+	base := func() AnalyzeResponse {
+		return AnalyzeResponse{Results: []AnalyzeItem{{Findings: []AnalysisFinding{{}}}}}
+	}
+	levels := []struct {
+		typ reflect.Type
+		set func(*AnalyzeResponse) reflect.Value
+	}{
+		{reflect.TypeOf(AnalyzeResponse{}), func(v *AnalyzeResponse) reflect.Value { return reflect.ValueOf(v).Elem() }},
+		{reflect.TypeOf(AnalyzeItem{}), func(v *AnalyzeResponse) reflect.Value { return reflect.ValueOf(&v.Results[0]).Elem() }},
+		{reflect.TypeOf(AnalysisFinding{}), func(v *AnalyzeResponse) reflect.Value {
+			return reflect.ValueOf(&v.Results[0].Findings[0]).Elem()
+		}},
+	}
+	all := base()
+	fields := 0
+	for _, lv := range levels {
+		for i := 0; i < lv.typ.NumField(); i++ {
+			f := lv.typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			fields++
+			var values []reflect.Value
+			switch {
+			case f.Type == reflect.TypeOf([]AnalyzeItem(nil)):
+				values = []reflect.Value{reflect.Zero(f.Type), reflect.ValueOf([]AnalyzeItem{}),
+					reflect.ValueOf([]AnalyzeItem{{Name: "a"}, {Code: 400, Error: "e<"}})}
+			case f.Type == reflect.TypeOf([]AnalysisFinding(nil)):
+				values = []reflect.Value{reflect.Zero(f.Type), reflect.ValueOf([]AnalysisFinding{}),
+					reflect.ValueOf([]AnalysisFinding{{Plane: "static"}, {Message: "m\u2028"}})}
+			case f.Type == reflect.TypeOf((*foundry.ProgramTriage)(nil)):
+				values = []reflect.Value{reflect.Zero(f.Type), reflect.ValueOf(&foundry.ProgramTriage{Name: "t"})}
+			default:
+				values = fieldValues(t, f.Name, f.Type)
+			}
+			for j, val := range values {
+				v := base()
+				lv.set(&v).Field(i).Set(val)
+				checkAnalyzeEncoding(t, f.Name+"#"+strconv.Itoa(j), v)
+			}
+			if f.Type.Kind() != reflect.Slice {
+				lv.set(&all).Field(i).Set(values[len(values)-1])
+			}
+		}
+	}
+	if fields < 16 {
+		t.Fatalf("walked %d fields; the three types have at least 16", fields)
+	}
+	checkAnalyzeEncoding(t, "every field", all)
+	all.Results[0].Triage = nil
+	checkAnalyzeEncoding(t, "every field but triage", all)
 }
