@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -56,42 +53,5 @@ func TestUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-exp", "E99"}, &sb); err == nil {
 		t.Error("unknown experiment accepted")
-	}
-}
-
-func TestJSONArtifact(t *testing.T) {
-	dir := t.TempDir()
-	out := runCapture(t, "-exp", "E8", "-json", dir)
-	if !strings.Contains(out, "vtable") {
-		t.Errorf("table output suppressed by -json:\n%s", out)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_E8.json"))
-	if err != nil {
-		t.Fatalf("artifact missing: %v", err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("artifact not valid JSON: %v", err)
-	}
-	if rep.Schema != "pnbench/v1" || rep.ID != "E8" {
-		t.Errorf("schema/id = %q/%q", rep.Schema, rep.ID)
-	}
-	if rep.RunNS <= 0 {
-		t.Errorf("run_ns = %d, want > 0", rep.RunNS)
-	}
-	if rep.Ticks == 0 {
-		t.Error("ticks = 0, want logical clock to have advanced")
-	}
-	if len(rep.Table.Rows) == 0 {
-		t.Error("table rows missing")
-	}
-	var sawWrites bool
-	for _, p := range rep.Metrics {
-		if p.Name == "pn_mem_writes_total" && p.Value > 0 {
-			sawWrites = true
-		}
-	}
-	if !sawWrites {
-		t.Error("metrics snapshot missing nonzero pn_mem_writes_total")
 	}
 }

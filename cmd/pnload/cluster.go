@@ -204,8 +204,7 @@ func runClusterSweep(out io.Writer, o clusterOpts, timeout time.Duration) error 
 			// router, is the bottleneck, so adding workers adds capacity.
 			f := cluster.NewFleet(n, serve.Config{
 				Workers: 1, Queue: o.requests + o.concurrency,
-				CacheSize: 4 * o.keys, CacheTTL: 10 * time.Minute,
-				Deadline: timeout, MaxDeadline: timeout,
+				CacheSize: 4 * o.keys, Deadline: timeout, MaxDeadline: timeout,
 			}, cluster.RouterConfig{Seed: o.ringSeed})
 			rep.Nodes = append(rep.Nodes, sweepTopology(client, f.URL(), n, o))
 			f.Close()

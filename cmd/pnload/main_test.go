@@ -13,9 +13,9 @@ import (
 	"time"
 )
 
-// fakeServe is a minimal pnserve stand-in: the first request per id is
-// a miss, repeats are hits; when shedEvery > 0 every shedEvery-th
-// request is shed with a 429.
+// fakeServe is a minimal pnserve stand-in: the first request per
+// scenario is a miss, repeats are hits; when shedEvery > 0 every
+// shedEvery-th request is shed with a 429.
 func fakeServe(shedEvery int64) http.Handler {
 	var count atomic.Int64
 	var mu sync.Mutex
@@ -27,131 +27,47 @@ func fakeServe(shedEvery int64) http.Handler {
 			json.NewEncoder(w).Encode(map[string]any{"error": "shed", "code": 429})
 			return
 		}
-		id := r.URL.Query().Get("experiment")
-		if id == "" {
-			id = r.URL.Query().Get("scenario")
-		}
+		id := r.URL.Query().Get("scenario")
 		mu.Lock()
 		cache := "hit"
 		if !seen[id] {
 			seen[id], cache = true, "miss"
 		}
 		mu.Unlock()
-		resp := map[string]any{"id": id, "status": "ok", "cache": cache}
-		if tid := r.Header.Get("X-PN-Trace-Id"); tid != "" {
-			resp["trace_id"] = tid
-			resp["stages"] = map[string]float64{"queue_wait": 0.5, "execute": 1.25}
-		}
-		json.NewEncoder(w).Encode(resp)
+		json.NewEncoder(w).Encode(map[string]any{"id": id, "status": "ok", "cache": cache})
 	})
 }
 
-func TestSweepWritesBenchServe(t *testing.T) {
-	ts := httptest.NewServer(fakeServe(0))
-	defer ts.Close()
-
-	outPath := filepath.Join(t.TempDir(), "BENCH_SERVE.json")
-	var stdout strings.Builder
-	if err := run([]string{
-		"-url", ts.URL, "-ids", "E1,E3", "-levels", "1,2", "-requests", "10",
-		"-out", outPath, "-min-hit-rate", "0.5",
-	}, &stdout); err != nil {
-		t.Fatalf("run: %v (stdout: %s)", err, stdout.String())
-	}
-
-	blob, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchServe
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("BENCH_SERVE.json is not valid JSON: %v", err)
-	}
-	if rep.Schema != Schema {
-		t.Fatalf("schema = %q, want %q", rep.Schema, Schema)
-	}
-	if len(rep.Levels) != 2 || rep.Levels[0].Concurrency != 1 || rep.Levels[1].Concurrency != 2 {
-		t.Fatalf("levels = %+v, want the 1,2 sweep", rep.Levels)
-	}
-	if rep.Totals.Requests != 20 || rep.Totals.OK != 20 || rep.Totals.Errors != 0 {
-		t.Fatalf("totals = %+v, want 20 ok / 0 errors", rep.Totals)
-	}
-	// Warmup touched both ids, so the whole measured sweep hits.
-	if rep.Totals.CacheHitRate < 0.99 {
-		t.Fatalf("cache hit rate = %g, want ~1.0 after warmup", rep.Totals.CacheHitRate)
-	}
-	for _, lv := range rep.Levels {
-		qw, ok := lv.Stages["queue_wait"]
-		if !ok || qw.P99 != 0.5 {
-			t.Fatalf("level %d stage percentiles = %+v, want queue_wait p99 0.5", lv.Concurrency, lv.Stages)
-		}
-		if ex := lv.Stages["execute"]; ex.P99 != 1.25 {
-			t.Fatalf("level %d execute p99 = %+v, want 1.25", lv.Concurrency, lv.Stages["execute"])
-		}
-		if lv.Latency.P50 <= 0 || lv.Latency.P99 < lv.Latency.P50 {
-			t.Fatalf("level %d latency stats = %+v", lv.Concurrency, lv.Latency)
-		}
-		if lv.ThroughputRPS <= 0 {
-			t.Fatalf("level %d throughput = %g", lv.Concurrency, lv.ThroughputRPS)
-		}
-	}
-}
-
+// TestShedCountedNotFailed: a structured 429 is classified as shed, not
+// as a failure, and OK answers keep their cache classification.
 func TestShedCountedNotFailed(t *testing.T) {
-	ts := httptest.NewServer(fakeServe(5)) // every 5th request shed
+	ts := httptest.NewServer(fakeServe(3)) // every 3rd request shed
 	defer ts.Close()
 
-	outPath := filepath.Join(t.TempDir(), "BENCH_SERVE.json")
-	var stdout strings.Builder
-	if err := run([]string{
-		"-url", ts.URL, "-ids", "E1", "-levels", "2", "-requests", "20",
-		"-out", outPath, "-warm=false",
-	}, &stdout); err != nil {
-		t.Fatalf("run treated shed responses as failure: %v", err)
+	u := ts.URL + "/run?scenario=stack-ret"
+	var got []sample
+	for i := 0; i < 3; i++ {
+		got = append(got, issue(ts.Client(), u, "", 0, time.Second))
 	}
-	blob, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
+	if !got[0].ok || got[0].cacheHit || got[0].shed {
+		t.Fatalf("first request = %+v, want an OK miss", got[0])
 	}
-	var rep benchServe
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatal(err)
+	if !got[1].ok || !got[1].cacheHit {
+		t.Fatalf("second request = %+v, want an OK hit", got[1])
 	}
-	if rep.Totals.Shed == 0 {
-		t.Fatalf("totals = %+v, want shed > 0", rep.Totals)
+	if got[2].ok || !got[2].shed {
+		t.Fatalf("third request = %+v, want shed, not failed", got[2])
 	}
-	if rep.Totals.Errors != 0 {
-		t.Fatalf("totals = %+v, want sheds excluded from errors", rep.Totals)
-	}
-	if rep.Totals.OK+rep.Totals.Shed != rep.Totals.Requests {
-		t.Fatalf("totals don't add up: %+v", rep.Totals)
+	for i, s := range got {
+		if s.latencyMS <= 0 {
+			t.Errorf("request %d latency = %v, want > 0", i, s.latencyMS)
+		}
 	}
 }
 
-func TestHitRateGateFails(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Pathological server: never a cache hit.
-		json.NewEncoder(w).Encode(map[string]any{"status": "ok", "cache": "miss"})
-	}))
-	defer ts.Close()
-
-	outPath := filepath.Join(t.TempDir(), "BENCH_SERVE.json")
-	var stdout strings.Builder
-	err := run([]string{
-		"-url", ts.URL, "-ids", "E1", "-levels", "1", "-requests", "5",
-		"-out", outPath, "-min-hit-rate", "0.5",
-	}, &stdout)
-	if err == nil || !strings.Contains(err.Error(), "hit rate") {
-		t.Fatalf("err = %v, want hit-rate gate failure", err)
-	}
-	if _, statErr := os.Stat(outPath); statErr != nil {
-		t.Fatal("artifact must be written even when the gate fails")
-	}
-}
-
-// TestRetriesHonorRetryAfter: with -retries, a shed response is retried
-// after the server's millisecond backoff hint and the retry is recorded;
-// without the flag (the default) the same workload keeps its shed count.
+// TestRetriesHonorRetryAfter: with retries, a shed response is retried
+// after the server's millisecond backoff hint and the retry is
+// recorded; without retries the same response stays shed.
 func TestRetriesHonorRetryAfter(t *testing.T) {
 	var count atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -166,27 +82,20 @@ func TestRetriesHonorRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	outPath := filepath.Join(t.TempDir(), "BENCH_SERVE.json")
-	var stdout strings.Builder
-	if err := run([]string{
-		"-url", ts.URL, "-ids", "E1", "-levels", "1", "-requests", "6",
-		"-out", outPath, "-warm=false", "-retries", "2",
-	}, &stdout); err != nil {
-		t.Fatalf("run: %v", err)
+	u := ts.URL + "/run?scenario=stack-ret"
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		s := issue(ts.Client(), u, "", 2, 2*time.Second)
+		if !s.ok || s.shed || s.retries != 1 {
+			t.Fatalf("request %d = %+v, want the shed retried once to success", i, s)
+		}
+		// The 5ms hint wins over the whole-second Retry-After.
+		if waited := time.Since(start); waited < 5*time.Millisecond || waited >= time.Second {
+			t.Fatalf("request %d waited %v, want the 5ms hint", i, waited)
+		}
 	}
-	blob, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchServe
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Totals.OK != 6 || rep.Totals.Shed != 0 {
-		t.Fatalf("totals = %+v, want every shed retried to success", rep.Totals)
-	}
-	if rep.Totals.Retries == 0 {
-		t.Fatalf("totals = %+v, want retries recorded", rep.Totals)
+	if s := issue(ts.Client(), u, "", 0, 2*time.Second); s.ok || !s.shed || s.retries != 0 {
+		t.Fatalf("without retries = %+v, want shed", s)
 	}
 }
 
@@ -217,15 +126,10 @@ func TestShed503CountedNotFailed(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	var stdout strings.Builder
-	if err := run([]string{
-		"-url", ts.URL, "-ids", "E1", "-levels", "1", "-requests", "4",
-		"-out", "-", "-warm=false",
-	}, &stdout); err != nil {
-		t.Fatalf("run treated 503 sheds as failure: %v", err)
-	}
-	if !strings.Contains(stdout.String(), `"shed": 4`) {
-		t.Fatalf("stdout = %s, want 4 sheds", stdout.String())
+	for i := 0; i < 4; i++ {
+		if s := issue(ts.Client(), ts.URL+"/run?scenario=stack-ret", "", 0, time.Second); s.ok || !s.shed {
+			t.Fatalf("request %d = %+v, want shed, not failed", i, s)
+		}
 	}
 }
 
@@ -283,18 +187,5 @@ func TestTenantSoakGateFails(t *testing.T) {
 	}
 	if _, statErr := os.Stat(path); statErr != nil {
 		t.Fatal("artifact must be written even when the gate fails")
-	}
-}
-
-func TestWorkloadIDKinds(t *testing.T) {
-	if got := runURL("http://x", "E12", "", false); !strings.Contains(got, "experiment=E12") {
-		t.Fatalf("E12 url = %s, want experiment param", got)
-	}
-	if got := runURL("http://x/", "bss-overflow", "low", false); !strings.Contains(got, "scenario=bss-overflow") ||
-		!strings.Contains(got, "priority=low") || strings.Contains(got, "//run") {
-		t.Fatalf("scenario url = %s", got)
-	}
-	if got := runURL("http://x", "E12", "", true); !strings.Contains(got, "no_cache=true") {
-		t.Fatalf("no-cache url = %s, want no_cache param", got)
 	}
 }

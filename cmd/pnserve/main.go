@@ -64,6 +64,11 @@
 // router only; workers behind it skip theirs (never double-counted)
 // while keeping their worker-local breakers.
 //
+// Every mode bounds a stalled client: request headers must arrive
+// within 10s and the whole request, body included, within a minute; an
+// idle keep-alive connection closes after two. Responses have no write
+// deadline, so /watch streams stay open.
+//
 // On SIGTERM/SIGINT every mode drains gracefully: admission stops
 // (503 + failing readiness), in-flight and queued work completes, then
 // the listener shuts down. A router notices a draining worker on its
@@ -74,7 +79,7 @@
 // Usage:
 //
 //	pnserve [-addr :8099] [-workers 8] [-queue 64]
-//	        [-cache-size 512] [-cache-ttl 10m]
+//	        [-cache-size 512]
 //	        [-deadline 15s] [-max-deadline 60s] [-drain-timeout 10s]
 //	        [-tenant-rate 200] [-tenant-burst 400] [-aging 1s]
 //	        [-breaker-threshold 5] [-breaker-cooldown 2s]
@@ -121,7 +126,6 @@ func run(args []string, out io.Writer) error {
 	workers := fs.String("workers", "8", "worker pool size; under -router, comma-separated worker base URLs")
 	queue := fs.Int("queue", 64, "admission queue depth per priority lane")
 	cacheSize := fs.Int("cache-size", 512, "result cache capacity (entries)")
-	cacheTTL := fs.Duration("cache-ttl", 10*time.Minute, "result cache TTL (0 = never expire)")
 	deadline := fs.Duration("deadline", 15*time.Second, "default per-request deadline (queueing included)")
 	maxDeadline := fs.Duration("max-deadline", time.Minute, "cap on client-supplied deadlines")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget after SIGTERM")
@@ -169,14 +173,13 @@ func run(args []string, out io.Writer) error {
 	}
 	srv := serve.NewServer(serve.Config{
 		Workers: poolSize, Queue: *queue,
-		CacheSize: *cacheSize, CacheTTL: *cacheTTL,
-		Deadline: *deadline, MaxDeadline: *maxDeadline,
+		CacheSize: *cacheSize, Deadline: *deadline, MaxDeadline: *maxDeadline,
 		TenantRate: *tenantRate, TenantBurst: *tenantBurst, Aging: *aging,
 		BreakerThreshold: *breakerThreshold, BreakerCooldown: *breakerCooldown,
 		TraceCap: *traceCap, Deterministic: *deterministic,
 		TrustAdmitted: *worker, Compiled: *compiled,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	stopJoin := func() {}
 	if *worker && *join != "" {
@@ -195,8 +198,8 @@ func run(args []string, out io.Writer) error {
 		if *worker {
 			role = "worker"
 		}
-		fmt.Fprintf(out, "pnserve: %s listening on %s (%d workers, queue %d/lane, cache %d entries, ttl %s, tenant quota %g/%g)\n",
-			role, *addr, poolSize, *queue, *cacheSize, *cacheTTL, *tenantRate, *tenantBurst)
+		fmt.Fprintf(out, "pnserve: %s listening on %s (%d workers, queue %d/lane, cache %d entries, tenant quota %g/%g)\n",
+			role, *addr, poolSize, *queue, *cacheSize, *tenantRate, *tenantBurst)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -215,6 +218,35 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintln(out, "pnserve: drained cleanly")
 		return nil
+	}
+}
+
+// Connection timeouts of every pnserve listener.
+const (
+	// readHeaderTimeout bounds the wait for a request's headers.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds the whole request read, body included. A
+	// minute admits the 8 MiB /analyze body limit at ~140 KB/s.
+	readTimeout = time.Minute
+	// idleTimeout closes an idle keep-alive connection. It is longer
+	// than net/http's client-side default of 90s, so the router's
+	// client closes an idle hop to a worker before the worker does.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer builds the http.Server for one pnserve mode. A client
+// that stops sending mid-request is dropped when its read deadline
+// passes. There is deliberately no WriteTimeout: net/http would cancel
+// a streaming handler's context at that deadline and cut every /watch
+// stream. The read deadline is cleared once a request's body has been
+// read, so a long-lived response is unaffected by readTimeout.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -250,7 +282,7 @@ func runRouter(a routerArgs, out io.Writer) error {
 	})
 	rt.StartHeartbeat()
 	defer rt.Close()
-	httpSrv := &http.Server{Addr: a.addr, Handler: rt.Handler()}
+	httpSrv := newHTTPServer(a.addr, rt.Handler())
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)

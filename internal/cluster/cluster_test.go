@@ -23,7 +23,7 @@ import (
 func testFleet(t *testing.T, n int) *Fleet {
 	t.Helper()
 	f := NewFleet(n, serve.Config{
-		Workers: 4, Queue: 32, CacheSize: 64, CacheTTL: time.Minute,
+		Workers: 4, Queue: 32, CacheSize: 64,
 		Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
 	}, RouterConfig{Seed: 1})
 	t.Cleanup(f.Close)

@@ -187,11 +187,6 @@ func (p *Process) Sanitizer() *shadow.Sanitizer { return p.san }
 // Options returns the options the process was built with.
 func (p *Process) Options() Options { return p.opts }
 
-// Checkpoint captures the process's full address-space image — segment
-// bytes and permissions — by deep copy. Prefer CowCheckpoint on hot
-// paths; this remains for callers that want capture cost paid eagerly.
-func (p *Process) Checkpoint() *mem.Checkpoint { return p.Mem.Checkpoint() }
-
 // CowCheckpoint captures the process's full address-space image by
 // copy-on-write page sharing: O(pages) pointer operations at capture,
 // with copies deferred to the pages the run actually dirties. The

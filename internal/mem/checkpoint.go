@@ -7,8 +7,7 @@ import (
 
 // segState is one segment's saved contents and permissions inside a
 // Checkpoint. The contents are held as reference-counted pages shared
-// with whoever else holds them (see paging.go); a deep checkpoint simply
-// owns fresh copies of every page.
+// with whoever else holds them (see paging.go).
 type segState struct {
 	kind  SegKind
 	base  Addr
@@ -25,23 +24,17 @@ type segState struct {
 //
 // A Checkpoint is immutable once taken and independent of the Memory it
 // came from; it remains valid across arbitrary program writes and
-// Protect calls. Two capture flavours exist:
-//
-//   - Checkpoint copies every byte up front — O(address space), always.
-//   - CowCheckpoint shares the segments' pages by reference — O(pages)
-//     pointer operations. The copy is deferred to the writes that
-//     actually happen afterwards (copy-on-write), so a run that dirties
-//     k pages pays for k page copies, not for the whole image.
-//
-// Both flavours observe byte-identical semantics through Restore,
-// RestoreDirty, DiffCheckpoint, and DiffDirty.
+// Protect calls. CowCheckpoint captures one by sharing the segments'
+// pages by reference — O(pages) pointer operations. The copy is
+// deferred to the writes that actually happen afterwards
+// (copy-on-write), so a run that dirties k pages pays for k page
+// copies, not for the whole image.
 type Checkpoint struct {
 	segs []segState
-	cow  bool
 	// shadow is the attached ShadowChecker's opaque snapshot, captured
-	// when a checker was installed at checkpoint time. Restore hands
-	// it back so shadow state (red zones, quarantine) rolls back in
-	// lockstep with the data pages it describes.
+	// when a checker was installed at checkpoint time. RestoreDirty
+	// hands it back so shadow state (red zones, quarantine) rolls back
+	// in lockstep with the data pages it describes.
 	shadow any
 }
 
@@ -58,40 +51,16 @@ func (cp *Checkpoint) Bytes() uint64 {
 	return n
 }
 
-// COW reports whether the checkpoint was captured by CowCheckpoint.
-func (cp *Checkpoint) COW() bool { return cp.cow }
-
-// Checkpoint captures every mapped segment by deep copy. Like Snapshot
-// it reads the raw segment bytes directly — access hooks, permissions,
-// and guards do not apply: checkpointing is harness machinery, not
-// program behaviour. Prefer CowCheckpoint on hot paths; the deep copy
-// remains for callers that want capture cost paid eagerly (and as the
-// baseline the BENCH_MEM.json benchmarks compare against).
-func (m *Memory) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{segs: make([]segState, 0, len(m.segs))}
-	for _, s := range m.segs {
-		ps := make([]*page, len(s.pages))
-		for i, p := range s.pages {
-			np := newPage()
-			np.data = p.data
-			ps[i] = np
-		}
-		cp.segs = append(cp.segs, segState{kind: s.Kind, base: s.Base, perm: s.Perm, size: s.size, pages: ps})
-	}
-	if m.shadow != nil {
-		cp.shadow = m.shadow.Snapshot()
-	}
-	return cp
-}
-
 // CowCheckpoint captures every mapped segment by sharing its pages —
 // O(pages) pointer operations instead of O(bytes) copying. After the
 // capture the memory's own pages are shared, so the next write to each
 // page copies it first; a run that dirties few pages therefore pays a
-// total copy cost proportional to what it dirtied. Semantics are
-// byte-for-byte those of Checkpoint.
+// total copy cost proportional to what it dirtied. Like Snapshot it
+// reads the raw segment state — access hooks, permissions, and guards
+// do not apply: checkpointing is harness machinery, not program
+// behaviour.
 func (m *Memory) CowCheckpoint() *Checkpoint {
-	cp := &Checkpoint{cow: true, segs: make([]segState, 0, len(m.segs))}
+	cp := &Checkpoint{segs: make([]segState, 0, len(m.segs))}
 	for _, s := range m.segs {
 		ps := make([]*page, len(s.pages))
 		for i, p := range s.pages {
@@ -125,23 +94,17 @@ func (m *Memory) verifyLayout(cp *Checkpoint, op string) error {
 	return nil
 }
 
-// Restore rolls every segment's bytes and permissions back to the
-// checkpointed state. The segment layout must match the checkpoint's
-// (restore does not remap segments); guards, the write logger, and any
-// access hook are left installed and do not observe the restore. After a successful Restore, DiffCheckpoint against the same
-// checkpoint reports no differences.
-func (m *Memory) Restore(cp *Checkpoint) error {
-	_, err := m.RestoreDirty(cp)
-	return err
-}
-
-// RestoreDirty is Restore with its work surface exposed: it rolls the
-// address space back to cp touching only the pages that differ from the
-// checkpoint, and reports how many pages that was. Pages are compared by
-// identity — a page still shared with the checkpoint cannot have changed
-// (writers copy-on-write shared pages), so an attempt that dirtied k
-// pages restores in O(k) pointer swaps, not O(address space). Restored
-// pages are marked in the dirty tracker (their bytes changed).
+// RestoreDirty rolls every segment's bytes and permissions back to the
+// checkpointed state, touching only the pages that differ from the
+// checkpoint, and reports how many pages that was. The segment layout
+// must match the checkpoint's (restore does not remap segments); guards,
+// the write logger, and any access hook are left installed and do not
+// observe the restore. Pages are compared by identity — a page still
+// shared with the checkpoint cannot have changed (writers copy-on-write
+// shared pages), so an attempt that dirtied k pages restores in O(k)
+// pointer swaps, not O(address space). Restored pages are marked in the
+// dirty tracker (their bytes changed). After a successful restore,
+// DiffDirty against the same checkpoint reports no differences.
 func (m *Memory) RestoreDirty(cp *Checkpoint) (restored int, err error) {
 	if err := m.verifyLayout(cp, "restore"); err != nil {
 		return 0, err
@@ -165,19 +128,13 @@ func (m *Memory) RestoreDirty(cp *Checkpoint) (restored int, err error) {
 	return restored, nil
 }
 
-// DiffCheckpoint compares current memory against a checkpoint and
-// returns every changed run across all segments in ascending address
-// order — the whole-image analogue of Diff.
-func (m *Memory) DiffCheckpoint(cp *Checkpoint) ([]DiffRegion, error) {
-	return m.DiffDirty(cp)
-}
-
-// DiffDirty is DiffCheckpoint implemented over the page structure: a
+// DiffDirty compares current memory against a checkpoint and returns
+// every changed run across all segments in ascending address order —
+// the whole-image analogue of Diff. It works over the page structure: a
 // page still shared with the checkpoint is skipped in O(1) (identity
 // implies equality), and only pages that were copied-on-write since the
-// capture are byte-compared. The output is byte-identical to a full
-// DiffCheckpoint scan, changed runs merging across page boundaries as
-// they always did.
+// capture are byte-compared, changed runs merging across page
+// boundaries as a flat byte-wise diff would.
 func (m *Memory) DiffDirty(cp *Checkpoint) ([]DiffRegion, error) {
 	if err := m.verifyLayout(cp, "diff checkpoint"); err != nil {
 		return nil, err
@@ -288,12 +245,3 @@ func (img *Image) slotFor(kind SegKind) **Segment {
 	}
 	return nil
 }
-
-// Checkpoint captures the image's full address space by deep copy.
-func (img *Image) Checkpoint() *Checkpoint { return img.Mem.Checkpoint() }
-
-// CowCheckpoint captures the image's full address space by page sharing.
-func (img *Image) CowCheckpoint() *Checkpoint { return img.Mem.CowCheckpoint() }
-
-// Restore rolls the image's address space back to cp.
-func (img *Image) Restore(cp *Checkpoint) error { return img.Mem.Restore(cp) }

@@ -11,7 +11,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if err := m.WriteU64(img.Data.Base, 0x1111111111111111); err != nil {
 		t.Fatal(err)
 	}
-	cp := img.Checkpoint()
+	cp := m.CowCheckpoint()
 	if cp.NumSegments() != len(m.Segments()) {
 		t.Fatalf("checkpoint captured %d segments, want %d", cp.NumSegments(), len(m.Segments()))
 	}
@@ -33,7 +33,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	diff, err := m.DiffCheckpoint(cp)
+	diff, err := m.DiffDirty(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +41,10 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal("corruption not visible in checkpoint diff")
 	}
 
-	if err := img.Restore(cp); err != nil {
+	if _, err := m.RestoreDirty(cp); err != nil {
 		t.Fatal(err)
 	}
-	diff, err = m.DiffCheckpoint(cp)
+	diff, err = m.DiffDirty(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +64,14 @@ func TestCheckpointIndependentOfLaterWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := img.Mem.Checkpoint()
+	cp := img.Mem.CowCheckpoint()
 	if err := img.Mem.Memset(img.Data.Base, 0xaa, 64); err != nil {
 		t.Fatal(err)
 	}
-	// Restore must bring back the pre-write zeroes, proving the
-	// checkpoint copied rather than aliased segment data.
-	if err := img.Mem.Restore(cp); err != nil {
+	// Restore must bring back the pre-write zeroes, proving the write
+	// copied the shared page rather than writing through to the
+	// checkpoint.
+	if _, err := img.Mem.RestoreDirty(cp); err != nil {
 		t.Fatal(err)
 	}
 	b, err := img.Mem.Read(img.Data.Base, 64)
@@ -93,14 +94,14 @@ func TestRestoreLayoutMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := imgA.Checkpoint()
-	if err := imgB.Restore(cp); err == nil {
+	cp := imgA.Mem.CowCheckpoint()
+	if _, err := imgB.Mem.RestoreDirty(cp); err == nil {
 		t.Fatal("restore across mismatched layouts succeeded")
 	}
-	if _, err := imgB.Mem.DiffCheckpoint(cp); err == nil {
+	if _, err := imgB.Mem.DiffDirty(cp); err == nil {
 		t.Fatal("diff across mismatched layouts succeeded")
 	}
-	if err := imgA.Restore(nil); err == nil {
+	if _, err := imgA.Mem.RestoreDirty(nil); err == nil {
 		t.Fatal("restore of nil checkpoint succeeded")
 	}
 }

@@ -14,11 +14,32 @@ import (
 // This file is the differential harness for the copy-on-write
 // checkpoint implementation: two "twin" address spaces with an
 // identical random segment layout execute an identical random sequence
-// of mutating operations. One twin checkpoints with the deep-copy
-// Checkpoint(), the other with CowCheckpoint(). After every step the
-// twins must agree byte-for-byte — segment contents, diff output
+// of mutating operations. One twin checkpoints with deepCheckpoint, the
+// reference copy below, the other with CowCheckpoint. After every step
+// the twins must agree byte-for-byte — segment contents, diff output
 // against every live checkpoint, restore results, and errors. Any
 // divergence is shrunk to a minimal op sequence before reporting.
+
+// deepCheckpoint is the reference model of a checkpoint: it captures
+// every mapped segment by copying each page up front, so nothing is
+// shared with the memory afterwards. Restoring one with RestoreDirty
+// swaps every page back, since no page is shared by identity.
+func deepCheckpoint(m *Memory) *Checkpoint {
+	cp := &Checkpoint{segs: make([]segState, 0, len(m.segs))}
+	for _, s := range m.segs {
+		ps := make([]*page, len(s.pages))
+		for i, p := range s.pages {
+			np := newPage()
+			np.data = p.data
+			ps[i] = np
+		}
+		cp.segs = append(cp.segs, segState{kind: s.Kind, base: s.Base, perm: s.Perm, size: s.size, pages: ps})
+	}
+	if m.shadow != nil {
+		cp.shadow = m.shadow.Snapshot()
+	}
+	return cp
+}
 
 // dsShadow is a minimal reference ShadowChecker used to test that
 // checkpoints carry shadow state in lockstep with data pages: a plain
@@ -194,7 +215,7 @@ func randOps(rng *rand.Rand, l dsLayout) []dsOp {
 }
 
 // dsTwins holds the paired state: the deep twin checkpoints with
-// Checkpoint(), the cow twin with CowCheckpoint().
+// deepCheckpoint, the cow twin with CowCheckpoint.
 type dsTwins struct {
 	l       dsLayout
 	deep    *Memory
@@ -254,7 +275,7 @@ func (tw *dsTwins) step(op dsOp) string {
 			}
 		}
 	case "checkpoint":
-		tw.deepCPs = append(tw.deepCPs, tw.deep.Checkpoint())
+		tw.deepCPs = append(tw.deepCPs, deepCheckpoint(tw.deep))
 		tw.cowCPs = append(tw.cowCPs, tw.cow.CowCheckpoint())
 		tw.cpShadow = append(tw.cpShadow, tw.deepSh.state())
 	case "restore":
@@ -262,7 +283,7 @@ func (tw *dsTwins) step(op dsOp) string {
 			return ""
 		}
 		i := len(tw.deepCPs) - 1
-		errD := tw.deep.Restore(tw.deepCPs[i])
+		_, errD := tw.deep.RestoreDirty(tw.deepCPs[i])
 		_, errC := tw.cow.RestoreDirty(tw.cowCPs[i])
 		if d := matchErr("restore", errD, errC); d != "" {
 			return d
@@ -273,8 +294,8 @@ func (tw *dsTwins) step(op dsOp) string {
 		tw.restores++
 	case "diff":
 		for i := range tw.deepCPs {
-			dd, errD := tw.deep.DiffCheckpoint(tw.deepCPs[i])
-			dc, errC := tw.cow.DiffCheckpoint(tw.cowCPs[i])
+			dd, errD := tw.deep.DiffDirty(tw.deepCPs[i])
+			dc, errC := tw.cow.DiffDirty(tw.cowCPs[i])
 			if d := matchErr("diff", errD, errC); d != "" {
 				return d
 			}
@@ -388,9 +409,8 @@ func TestDifferentialDeepVsCow(t *testing.T) {
 }
 
 // TestDifferentialRestoreEquivalence pins the core contract directly:
-// after interleaved writes and restores, RestoreDirty must produce the
-// exact bytes a deep-copy Restore produces, and its restored-page count
-// must be bounded by the pages actually touched.
+// after interleaved writes and restores, restoring a COW checkpoint
+// must produce the exact bytes restoring a deep copy produces.
 func TestDifferentialRestoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l := randLayout(rng)
@@ -431,7 +451,7 @@ func TestDifferentialRestoreEquivalence(t *testing.T) {
 	if d := tw.step(dsOp{Kind: "diff"}); d != "" {
 		t.Fatal(d)
 	}
-	dd, err := tw.cow.DiffCheckpoint(tw.cowCPs[0])
+	dd, err := tw.cow.DiffDirty(tw.cowCPs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,19 +298,18 @@ func TestCheckpointLayoutMismatchErrors(t *testing.T) {
 		{"base mismatch", build([3]uint64{uint64(SegData), 0x2000, 256}), "segment 0"},
 		{"size mismatch", build([3]uint64{uint64(SegData), 0x1000, 512}), "segment 0"},
 	}
-	cp := build(base).Checkpoint()
-	cowCP := build(base).CowCheckpoint()
+	cps := map[string]*Checkpoint{
+		"deep": deepCheckpoint(build(base)),
+		"cow":  build(base).CowCheckpoint(),
+	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, c := range []*Checkpoint{cp, cowCP} {
-				if err := tc.other.Restore(c); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-					t.Errorf("Restore(cow=%v) err = %v, want substring %q", c.COW(), err, tc.wantSub)
+			for name, c := range cps {
+				if _, err := tc.other.RestoreDirty(c); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+					t.Errorf("RestoreDirty(%s) err = %v, want substring %q", name, err, tc.wantSub)
 				}
-				if _, err := tc.other.RestoreDirty(c); err == nil {
-					t.Errorf("RestoreDirty(cow=%v) must reject layout mismatch", c.COW())
-				}
-				if _, err := tc.other.DiffCheckpoint(c); err == nil {
-					t.Errorf("DiffCheckpoint(cow=%v) must reject layout mismatch", c.COW())
+				if _, err := tc.other.DiffDirty(c); err == nil {
+					t.Errorf("DiffDirty(%s) must reject layout mismatch", name)
 				}
 			}
 		})

@@ -43,7 +43,7 @@ func (m *Memory) Diff(snap *Snapshot) ([]DiffRegion, error) {
 }
 
 // diffBytes computes the changed runs between two equal-length byte
-// images starting at base. Shared by Diff and DiffCheckpoint.
+// images starting at base.
 func diffBytes(base Addr, old, cur []byte) []DiffRegion {
 	var out []DiffRegion
 	i := 0

@@ -137,8 +137,8 @@ func TestHookBypassedByHarnessPaths(t *testing.T) {
 	if _, err := m.Snapshot(img.Data.Base, 3); err != nil {
 		t.Fatal(err)
 	}
-	cp := m.Checkpoint()
-	if err := m.Restore(cp); err != nil {
+	cp := m.CowCheckpoint()
+	if _, err := m.RestoreDirty(cp); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {

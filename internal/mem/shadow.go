@@ -15,8 +15,8 @@ package mem
 // the simulated program's own stores, not the harness's machinery.
 //
 // Snapshot and Restore let checkpoints carry the shadow planes in
-// lockstep with the data pages: Checkpoint/CowCheckpoint capture an
-// opaque snapshot, Restore/RestoreDirty reinstate it, so a rollback
+// lockstep with the data pages: CowCheckpoint captures an opaque
+// snapshot, RestoreDirty reinstates it, so a rollback
 // never leaves quarantine or red-zone state disagreeing with the
 // bytes it describes.
 type ShadowChecker interface {

@@ -27,8 +27,9 @@ func benchWrites(b *testing.B, m *Memory) {
 // BenchmarkWriteShadowDisabled pins the zero-cost-when-disabled
 // contract of the ShadowChecker seam (see SetShadow): with no checker
 // attached a write pays exactly one nil comparison. Compare against
-// BenchmarkWriteShadowArmed to see the armed tax; pnbench -shadow
-// turns the same comparison into a gated BENCH_SHADOW.json artifact.
+// BenchmarkWriteShadowArmed to see the armed tax; the shadow package's
+// TestWriteOverheadGate gates the same comparison with the real
+// sanitizer.
 func BenchmarkWriteShadowDisabled(b *testing.B) {
 	benchWrites(b, benchMemory(b))
 }

@@ -384,8 +384,8 @@ type MetricPoint struct {
 	Counts  []uint64  `json:"counts,omitempty"`
 }
 
-// Snapshot returns the registry as sorted plain data, for JSON exports
-// (pnbench's BENCH_*.json embeds one).
+// Snapshot returns the registry as sorted plain data, for exports
+// (pntrace's events.ndjson carries one).
 func (r *Registry) Snapshot() []MetricPoint {
 	if r == nil {
 		return nil

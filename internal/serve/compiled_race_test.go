@@ -26,7 +26,7 @@ import (
 // on the semantic fields.
 func TestCompiledTierConcurrency(t *testing.T) {
 	srv := NewServer(Config{
-		Workers: 8, Queue: 256, CacheSize: 128, CacheTTL: time.Minute,
+		Workers: 8, Queue: 256, CacheSize: 128,
 		Deadline: 20 * time.Second, MaxDeadline: 30 * time.Second,
 		Compiled: true,
 	})
@@ -154,7 +154,7 @@ func TestCompiledTierConcurrency(t *testing.T) {
 func TestCompiledResponsesMatchInterpreted(t *testing.T) {
 	mk := func(compiled bool) (*Server, *httptest.Server) {
 		srv := NewServer(Config{
-			Workers: 4, Queue: 32, CacheSize: 64, CacheTTL: time.Minute,
+			Workers: 4, Queue: 32, CacheSize: 64,
 			Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
 			Compiled: compiled,
 		})

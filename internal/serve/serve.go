@@ -51,7 +51,6 @@ type Config struct {
 	Workers     int
 	Queue       int
 	CacheSize   int
-	CacheTTL    time.Duration
 	Deadline    time.Duration
 	MaxDeadline time.Duration
 	// Admission-control knobs.
@@ -117,7 +116,6 @@ func NewServer(cfg Config) *Server {
 			Workers:         cfg.Workers,
 			QueueDepth:      cfg.Queue,
 			CacheCapacity:   cfg.CacheSize,
-			CacheTTL:        cfg.CacheTTL,
 			DefaultDeadline: cfg.Deadline,
 			MaxDeadline:     cfg.MaxDeadline,
 			Quota:           service.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst},

@@ -14,7 +14,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := NewServer(Config{
 		Workers: 4, Queue: 16, CacheSize: 32,
-		CacheTTL: time.Minute, Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
+		Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -160,7 +160,7 @@ func TestReadyzReady(t *testing.T) {
 func TestTenantQuotaOverHTTP(t *testing.T) {
 	srv := NewServer(Config{
 		Workers: 4, Queue: 16, CacheSize: 32,
-		CacheTTL: time.Minute, Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
+		Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
 		TenantRate: 0.001, TenantBurst: 1, // one request, then a very slow refill
 	})
 	ts := httptest.NewServer(srv.Handler())

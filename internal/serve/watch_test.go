@@ -26,7 +26,7 @@ func newDeterministicServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := NewServer(Config{
 		Workers: 1, Queue: 16, CacheSize: 32,
-		CacheTTL: time.Minute, Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
+		Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
 		Deterministic: true,
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -326,7 +326,7 @@ func TestTraceEndpointGolden(t *testing.T) {
 func TestRunWatchRaceStress(t *testing.T) {
 	srv := NewServer(Config{
 		Workers: 4, Queue: 32, CacheSize: 32,
-		CacheTTL: time.Minute, Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
+		Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Service().Drain() })

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"sync"
-	"time"
 )
 
 // Cache event tokens reported through the OnEvent seam and echoed in
@@ -16,28 +15,26 @@ const (
 	CacheBypass    = "bypass"    // NoCache request; executed, store refreshed
 	CacheCloned    = "cloned"    // miss filled from a cluster peer's cache, not executed
 	CacheEvict     = "evict"     // LRU capacity eviction
-	CacheExpire    = "expire"    // TTL expiry observed on access
 )
 
 // CacheConfig tunes the result cache. The zero value selects 256
-// entries, no TTL, and the wall clock.
+// entries.
 type CacheConfig struct {
 	// Capacity bounds the number of stored results (default 256).
 	Capacity int
-	// TTL expires entries this long after they were stored (0 = never).
-	TTL time.Duration
-	// Now is the clock, injectable for tests (nil = time.Now).
-	Now func() time.Time
 	// OnEvent receives one call per cache event with a Cache* token —
 	// the metrics seam. It runs under the cache lock: keep it cheap and
 	// never call back into the cache.
 	OnEvent func(event string)
 }
 
-// Cache is a content-addressed result store: bounded LRU with optional
-// TTL, plus singleflight collapsing so N concurrent requests for the
-// same key cost one execution. Safe for concurrent use. Results are
-// treated as immutable once stored — callers must not mutate them.
+// Cache is a content-addressed result store: bounded LRU plus
+// singleflight collapsing so N concurrent requests for the same key
+// cost one execution. Entries never expire: a stored Result is a pure
+// function of its key, which includes CodeVersion. (E17's wall-clock
+// table is the one exception; a NoCache request re-executes it and
+// overwrites the entry.) Safe for concurrent use. Results are treated
+// as immutable once stored — callers must not mutate them.
 type Cache struct {
 	cfg CacheConfig
 
@@ -48,9 +45,8 @@ type Cache struct {
 }
 
 type entry struct {
-	key    string
-	res    *Result
-	stored time.Time
+	key string
+	res *Result
 }
 
 // flight is one in-progress execution other callers can join.
@@ -64,9 +60,6 @@ type flight struct {
 func NewCache(cfg CacheConfig) *Cache {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 256
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	return &Cache{
 		cfg:     cfg,
@@ -101,20 +94,15 @@ func (c *Cache) Keys() []string {
 	return out
 }
 
-// lookupLocked returns a fresh entry's result, expiring stale ones.
+// lookupLocked returns a stored entry's result and marks it most
+// recently used.
 func (c *Cache) lookupLocked(key string) (*Result, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
-	ent := el.Value.(*entry)
-	if c.cfg.TTL > 0 && c.cfg.Now().Sub(ent.stored) >= c.cfg.TTL {
-		c.removeLocked(el)
-		c.event(CacheExpire)
-		return nil, false
-	}
 	c.lru.MoveToFront(el)
-	return ent.res, true
+	return el.Value.(*entry).res, true
 }
 
 func (c *Cache) removeLocked(el *list.Element) {
@@ -126,18 +114,17 @@ func (c *Cache) removeLocked(el *list.Element) {
 func (c *Cache) storeLocked(key string, res *Result) {
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*entry).res = res
-		el.Value.(*entry).stored = c.cfg.Now()
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&entry{key: key, res: res, stored: c.cfg.Now()})
+	c.entries[key] = c.lru.PushFront(&entry{key: key, res: res})
 	for c.lru.Len() > c.cfg.Capacity {
 		c.removeLocked(c.lru.Back())
 		c.event(CacheEvict)
 	}
 }
 
-// Get returns the stored result for key, if fresh.
+// Get returns the stored result for key, if any.
 func (c *Cache) Get(key string) (*Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

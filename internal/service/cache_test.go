@@ -151,35 +151,6 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestTTLExpiry: entries expire TTL after storage, lazily on access.
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	events := map[string]int{}
-	c := NewCache(CacheConfig{
-		TTL:     time.Minute,
-		Now:     func() time.Time { return now },
-		OnEvent: func(e string) { events[e]++ },
-	})
-	c.Put("k", res("k"))
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	now = now.Add(59 * time.Second)
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("entry expired before TTL")
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry survived past TTL")
-	}
-	if events[CacheExpire] != 1 {
-		t.Fatalf("expire events = %d, want 1", events[CacheExpire])
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len() = %d after expiry, want 0", c.Len())
-	}
-}
-
 // TestChaosSeedsNeverShareKeys is the satellite contract: two requests
 // differing only in chaos seed have distinct content addresses, while
 // chaos-free requests normalize inert seeds away.

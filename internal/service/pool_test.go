@@ -24,14 +24,11 @@ func assertTemplatesPristine(t *testing.T, pool *mem.ImagePool) {
 		if cp == nil {
 			t.Fatalf("template for %+v missing (prewarm broken)", cfg)
 		}
-		if !cp.COW() {
-			t.Fatalf("template for %+v is not a COW checkpoint", cfg)
-		}
 		img, err := cp.NewImage()
 		if err != nil {
 			t.Fatalf("clone template %+v: %v", cfg, err)
 		}
-		diff, err := img.Mem.DiffCheckpoint(cp)
+		diff, err := img.Mem.DiffDirty(cp)
 		if err != nil {
 			t.Fatalf("diff clone against template %+v: %v", cfg, err)
 		}

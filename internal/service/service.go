@@ -1,14 +1,14 @@
 // Package service is the serving layer: it turns the repository's
 // experiment/attack corpus into a servable workload. A bounded
 // worker-pool Scheduler with priority lanes and load shedding admits
-// requests; a content-addressed Cache (LRU + TTL + singleflight)
-// exploits the corpus's determinism — the same experiment under the
-// same data model, chaos seed/config, and code version always produces
-// the same bytes, so the safe path is the fast path; and supervised
-// execution (internal/resilience) turns a panicking scenario into one
-// degraded request instead of a dead process. cmd/pnserve exposes the
-// service over HTTP; cmd/pnload drives it closed-loop and records the
-// serving-throughput trajectory in BENCH_SERVE.json.
+// requests; a content-addressed Cache (LRU + singleflight) exploits
+// the corpus's determinism — the same experiment under the same data
+// model, chaos seed/config, and code version always produces the same
+// bytes, so the safe path is the fast path; and supervised execution
+// (internal/resilience) turns a panicking scenario into one degraded
+// request instead of a dead process. cmd/pnserve exposes the service
+// over HTTP; cmd/pnload runs its multi-tenant admission soak
+// (RunTenantSoak) and the cluster sweep.
 package service
 
 import (
@@ -32,9 +32,8 @@ type Config struct {
 	// Workers/QueueDepth tune the scheduler (see SchedulerConfig).
 	Workers    int
 	QueueDepth int
-	// CacheCapacity/CacheTTL tune the result cache (see CacheConfig).
+	// CacheCapacity bounds the result cache (see CacheConfig).
 	CacheCapacity int
-	CacheTTL      time.Duration
 	// DefaultDeadline bounds requests that do not set their own
 	// (default 15s). The deadline covers queueing and execution.
 	DefaultDeadline time.Duration
@@ -134,7 +133,6 @@ func New(cfg Config) *Service {
 	}
 	s.cache = NewCache(CacheConfig{
 		Capacity: cfg.CacheCapacity,
-		TTL:      cfg.CacheTTL,
 		OnEvent: func(event string) {
 			reg.Inc(obs.MetricServeCache, obs.L("event", event))
 			if cfg.Bus.Active() {
