@@ -1,13 +1,11 @@
 package mem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // segState is one segment's saved contents and permissions inside a
-// Checkpoint. The contents are held as reference-counted pages shared
-// with whoever else holds them (see paging.go).
+// Checkpoint. The contents are a page table shared with whoever else
+// holds it; neither the table nor any page in it has an owner, so
+// neither is ever written again (see paging.go).
 type segState struct {
 	kind  SegKind
 	base  Addr
@@ -25,8 +23,8 @@ type segState struct {
 // A Checkpoint is immutable once taken and independent of the Memory it
 // came from; it remains valid across arbitrary program writes and
 // Protect calls. CowCheckpoint captures one by sharing the segments'
-// pages by reference — O(pages) pointer operations. The copy is
-// deferred to the writes that actually happen afterwards
+// page tables by reference — O(segments), whatever their size. The
+// copy is deferred to the writes that actually happen afterwards
 // (copy-on-write), so a run that dirties k pages pays for k page
 // copies, not for the whole image.
 type Checkpoint struct {
@@ -51,22 +49,19 @@ func (cp *Checkpoint) Bytes() uint64 {
 	return n
 }
 
-// CowCheckpoint captures every mapped segment by sharing its pages —
-// O(pages) pointer operations instead of O(bytes) copying. After the
-// capture the memory's own pages are shared, so the next write to each
-// page copies it first; a run that dirties few pages therefore pays a
-// total copy cost proportional to what it dirtied. Like Snapshot it
-// reads the raw segment state — access hooks, permissions, and guards
-// do not apply: checkpointing is harness machinery, not program
-// behaviour.
+// CowCheckpoint captures every mapped segment by sharing its page
+// table — O(segments) instead of O(bytes) copying. The capture clears
+// the memory's owned bits, so the next write to each page copies it
+// first (and the first write to a segment copies its table); a run that
+// dirties few pages therefore pays a total copy cost proportional to
+// what it dirtied. Like Snapshot it reads the raw segment state —
+// access hooks, permissions, and guards do not apply: checkpointing is
+// harness machinery, not program behaviour.
 func (m *Memory) CowCheckpoint() *Checkpoint {
 	cp := &Checkpoint{segs: make([]segState, 0, len(m.segs))}
 	for _, s := range m.segs {
-		ps := make([]*page, len(s.pages))
-		for i, p := range s.pages {
-			ps[i] = p.get()
-		}
-		cp.segs = append(cp.segs, segState{kind: s.Kind, base: s.Base, perm: s.Perm, size: s.size, pages: ps})
+		cp.segs = append(cp.segs, segState{kind: s.Kind, base: s.Base, perm: s.Perm, size: s.size, pages: s.pages})
+		s.owned = nil
 	}
 	if m.shadow != nil {
 		cp.shadow = m.shadow.Snapshot()
@@ -100,11 +95,13 @@ func (m *Memory) verifyLayout(cp *Checkpoint, op string) error {
 // must match the checkpoint's (restore does not remap segments); guards,
 // the write logger, and any access hook are left installed and do not
 // observe the restore. Pages are compared by identity — a page still
-// shared with the checkpoint cannot have changed (writers copy-on-write
-// shared pages), so an attempt that dirtied k pages restores in O(k)
-// pointer swaps, not O(address space). Restored pages are marked in the
-// dirty tracker (their bytes changed). After a successful restore,
-// DiffDirty against the same checkpoint reports no differences.
+// shared with the checkpoint cannot have changed (it has no owner, so
+// writers copy it first), so only the pages that differ are marked in
+// the dirty tracker (their bytes changed) and counted. The segment then
+// adopts the checkpoint's page table, owning none of it, so the
+// checkpoint stays intact when restored pages are written. After a
+// successful restore, DiffDirty against the same checkpoint reports no
+// differences.
 func (m *Memory) RestoreDirty(cp *Checkpoint) (restored int, err error) {
 	if err := m.verifyLayout(cp, "restore"); err != nil {
 		return 0, err
@@ -112,14 +109,12 @@ func (m *Memory) RestoreDirty(cp *Checkpoint) (restored int, err error) {
 	for i, st := range cp.segs {
 		s := m.segs[i]
 		for j, cpg := range st.pages {
-			if s.pages[j] == cpg {
-				continue
+			if s.pages[j] != cpg {
+				s.markDirtyRange(j, j)
+				restored++
 			}
-			s.pages[j].put()
-			s.pages[j] = cpg.get()
-			s.markDirtyRange(j, j)
-			restored++
 		}
+		s.pages, s.owned = st.pages, nil
 		s.Perm = st.perm
 	}
 	if m.shadow != nil && cp.shadow != nil {
@@ -170,7 +165,7 @@ func diffPages(base Addr, old, cur []*page, size uint64) []DiffRegion {
 		if hi > size {
 			hi = size
 		}
-		ob, cb := &old[pi].data, &cur[pi].data
+		ob, cb := old[pi], cur[pi]
 		for off := lo; off < hi; off++ {
 			po := off & (PageSize - 1)
 			if ob[po] == cb[po] {
@@ -191,12 +186,18 @@ func diffPages(base Addr, old, cur []*page, size uint64) []DiffRegion {
 }
 
 // NewImage clones the checkpoint into a fresh address space: every
-// segment is rebuilt sharing the checkpoint's pages by reference, so the
-// clone costs O(pages) pointer operations and zero byte copies. Writes
-// to the clone copy-on-write away from the checkpoint; the checkpoint
-// (and anything else cloned from it) never observes them. The image's
-// canonical segment fields (Text, Heap, Stack, …) are resolved by kind
-// where present and left nil otherwise.
+// segment is rebuilt sharing the checkpoint's page table by reference,
+// so the clone copies no page pointer and no byte. The clone owns
+// neither the tables nor the pages, so its writes copy-on-write away
+// from the checkpoint; the checkpoint (and anything else cloned from
+// it) never observes them. The image's canonical segment fields (Text,
+// Heap, Stack, …) are resolved by kind where present and left nil
+// otherwise.
+//
+// The clone takes five allocations whatever the segment count: the
+// image, its Memory, the segment list, the segments, and one dirty
+// bitmap array that every segment slices. cp.segs is already in base
+// order, so nothing is sorted.
 //
 // This is the mechanism underneath the serving layer's image template
 // pool: construct once, CowCheckpoint once, clone per request.
@@ -204,25 +205,29 @@ func (cp *Checkpoint) NewImage() (*Image, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("mem: new image: nil checkpoint")
 	}
-	m := &Memory{segs: make([]*Segment, 0, len(cp.segs))}
-	img := &Image{Mem: m}
+	var nwords int
 	for _, st := range cp.segs {
-		seg := &Segment{
+		nwords += bitmapWords(len(st.pages))
+	}
+	m := &Memory{segs: make([]*Segment, len(cp.segs))}
+	img := &Image{Mem: m}
+	segs := make([]Segment, len(cp.segs))
+	dirty := make([]uint64, nwords)
+	for i, st := range cp.segs {
+		w := bitmapWords(len(st.pages))
+		seg := &segs[i]
+		*seg = Segment{
 			Kind: st.kind, Base: st.base, Perm: st.perm,
 			size:  st.size,
-			pages: make([]*page, len(st.pages)),
-			dirty: make([]uint64, (len(st.pages)+63)/64),
+			pages: st.pages,
+			dirty: dirty[:w:w],
 		}
-		for j, p := range st.pages {
-			seg.pages[j] = p.get()
-		}
-		m.segs = append(m.segs, seg)
-		out := img.slotFor(st.kind)
-		if out != nil && *out == nil {
+		dirty = dirty[w:]
+		m.segs[i] = seg
+		if out := img.slotFor(st.kind); out != nil && *out == nil {
 			*out = seg
 		}
 	}
-	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
 	return img, nil
 }
 

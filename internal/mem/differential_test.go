@@ -22,16 +22,16 @@ import (
 
 // deepCheckpoint is the reference model of a checkpoint: it captures
 // every mapped segment by copying each page up front, so nothing is
-// shared with the memory afterwards. Restoring one with RestoreDirty
-// swaps every page back, since no page is shared by identity.
+// shared with the memory afterwards and the memory keeps owning its
+// pages. Restoring one with RestoreDirty swaps every page back, since
+// no page is shared by identity.
 func deepCheckpoint(m *Memory) *Checkpoint {
 	cp := &Checkpoint{segs: make([]segState, 0, len(m.segs))}
 	for _, s := range m.segs {
 		ps := make([]*page, len(s.pages))
 		for i, p := range s.pages {
-			np := newPage()
-			np.data = p.data
-			ps[i] = np
+			np := *p
+			ps[i] = &np
 		}
 		cp.segs = append(cp.segs, segState{kind: s.Kind, base: s.Base, perm: s.Perm, size: s.size, pages: ps})
 	}
@@ -97,10 +97,10 @@ func (s *dsShadow) state() string {
 // dsOp is one step of a differential scenario, applied identically to
 // both twins. Fields are interpreted per Kind; unused fields are zero.
 type dsOp struct {
-	Kind string // write poke memset strncpy wcstring protect shpoison shunpoison checkpoint restore diff
+	Kind string // write poke memset strncpy wcstring read protect shpoison shunpoison checkpoint restore diff
 	Seg  int    // index into the scenario's segment layout
 	Off  uint64 // offset within the segment (may run past the end: faults must match)
-	Len  uint64 // length for memset/strncpy
+	Len  uint64 // length for memset/strncpy, width for read
 	Fill byte   // memset fill byte
 	Data []byte // write/poke payload
 	Str  string // strncpy/wcstring source
@@ -117,6 +117,8 @@ func (o dsOp) String() string {
 		return fmt.Sprintf("strncpy seg=%d off=%#x n=%d src=%d bytes", o.Seg, o.Off, o.Len, len(o.Str))
 	case "wcstring":
 		return fmt.Sprintf("wcstring seg=%d off=%#x src=%d bytes", o.Seg, o.Off, len(o.Str))
+	case "read":
+		return fmt.Sprintf("read seg=%d off=%#x width=%d", o.Seg, o.Off, o.Len)
 	case "protect":
 		return fmt.Sprintf("protect seg=%d perm=%s", o.Seg, o.Perm)
 	case "shpoison", "shunpoison":
@@ -168,7 +170,7 @@ func (l dsLayout) build(t *testing.T) *Memory {
 func randOps(rng *rand.Rand, l dsLayout) []dsOp {
 	kinds := []string{
 		"write", "write", "write", "poke", "memset", "strncpy", "wcstring",
-		"protect", "shpoison", "shpoison", "shunpoison",
+		"read", "protect", "shpoison", "shpoison", "shunpoison",
 		"checkpoint", "checkpoint", "restore", "diff",
 	}
 	n := 8 + rng.Intn(56)
@@ -194,8 +196,10 @@ func randOps(rng *rand.Rand, l dsLayout) []dsOp {
 			op.Str = strings.Repeat("x", rng.Intn(int(op.Len)+1))
 		case "wcstring":
 			op.Str = strings.Repeat("y", rng.Intn(256))
+		case "read":
+			op.Len = []uint64{1, 2, 4, 8}[rng.Intn(4)]
 		case "protect":
-			perms := []Perm{PermRead, PermRW, PermRWX}
+			perms := []Perm{PermRead, PermWrite, PermRW, PermRWX}
 			op.Perm = perms[rng.Intn(len(perms))]
 		case "shpoison", "shunpoison":
 			op.Len = uint64(1 + rng.Intn(96))
@@ -273,6 +277,20 @@ func (tw *dsTwins) step(op dsOp) string {
 			for i := uint64(0); i < op.Len; i++ {
 				delete(sh.poison, addr().Add(int64(i)))
 			}
+		}
+	case "read":
+		// Each twin's disarmed read must match its observed read, and
+		// the twins must match each other.
+		rd, d := readParity(tw.deep, readUint(addr(), int(op.Len)))
+		if d != "" {
+			return "deep twin: " + d
+		}
+		rc, d := readParity(tw.cow, readUint(addr(), int(op.Len)))
+		if d != "" {
+			return "cow twin: " + d
+		}
+		if !rd.equal(rc) {
+			return fmt.Sprintf("read: deep=%v cow=%v", rd, rc)
 		}
 	case "checkpoint":
 		tw.deepCPs = append(tw.deepCPs, deepCheckpoint(tw.deep))

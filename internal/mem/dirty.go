@@ -16,10 +16,11 @@ import "math/bits"
 // is DiffDirty against a checkpoint.
 //
 // The tracker is distinct from the copy-on-write machinery: COW state
-// (page reference counts) is relative to the checkpoints currently
-// alive, while dirty bits are relative to the caller's last Reset. The
-// dirty bitmap is what the serving layer's template-pool assertions and
-// the chaos campaign's write-density accounting consume.
+// (the owned bits beside the dirty bits) says which pages the segment
+// may write in place and is cleared by every checkpoint, while dirty
+// bits are relative to the caller's last Reset. The dirty bitmap is
+// what the serving layer's template-pool assertions and the chaos
+// campaign's write-density accounting consume.
 type DirtyTracker struct {
 	m *Memory
 }

@@ -24,7 +24,8 @@ var fuzzLayout = dsLayout{
 // decodeFuzzOps interprets data as an op program. Layout: repeated
 // records of [opcode u8][seg u8][off u16][aux u16][fill u8]; truncated
 // tails decode as zeroes. Offsets reach one page past a segment end so
-// fault parity is fuzzed too.
+// fault parity is fuzzed too, and a scalar read checks the disarmed
+// read against the observed one on each twin.
 func decodeFuzzOps(data []byte) []dsOp {
 	const rec = 7
 	var ops []dsOp
@@ -37,7 +38,7 @@ func decodeFuzzOps(data []byte) []dsOp {
 		aux := uint64(binary.LittleEndian.Uint16(chunk[4:6]))
 		fill := chunk[6]
 		op := dsOp{Seg: seg, Off: off, Fill: fill}
-		switch chunk[0] % 9 {
+		switch chunk[0] % 10 {
 		case 0:
 			op.Kind = "write"
 			op.Data = fuzzPayload(fill, aux%(PageSize+3))
@@ -60,13 +61,16 @@ func decodeFuzzOps(data []byte) []dsOp {
 			op.Str = string(fuzzPayload(fill|1, aux%128))
 		case 5:
 			op.Kind = "protect"
-			op.Perm = []Perm{PermRead, PermRW, PermRWX}[int(fill)%3]
+			op.Perm = []Perm{PermRead, PermRW, PermRWX, PermWrite}[int(fill)%4]
 		case 6:
 			op.Kind = "checkpoint"
 		case 7:
 			op.Kind = "restore"
 		case 8:
 			op.Kind = "diff"
+		case 9:
+			op.Kind = "read"
+			op.Len = []uint64{1, 2, 4, 8}[int(fill)%4]
 		}
 		ops = append(ops, op)
 	}
@@ -116,6 +120,15 @@ func FuzzCowRestore(f *testing.F) {
 		0, 0, 5, 0, 8, 0, 0x44, // write into read-only: must fault on both
 		1, 0, 5, 0, 8, 0, 0x55, // poke bypasses perm on both
 		0, 1, 0xFF, 0xFF, 4, 0, 0x66, // far out of range: fault parity
+	})
+	f.Add([]byte{
+		0, 0, 0xF8, 0x0F, 16, 0, 0x77, // write data +0xFF8 len 16 (straddles)
+		9, 0, 0xFE, 0x0F, 0, 0, 0x02, // read u32 across the page boundary
+		9, 0, 0xFF, 0x17, 0, 0, 0x00, // read u8 at the data segment's last byte
+		9, 0, 0x00, 0x18, 0, 0, 0x00, // read u8 at the data segment's end
+		9, 1, 0xFC, 0x07, 0, 0, 0x03, // read u64 across the heap's end
+		5, 1, 0, 0, 0, 0, 0x03, // protect heap -w-
+		9, 1, 0x10, 0x00, 0, 0, 0x02, // read u32 from a write-only segment
 	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

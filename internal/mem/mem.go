@@ -98,11 +98,13 @@ func (k SegKind) String() string {
 }
 
 // Segment is one mapped region of the address space. Its backing store
-// is an array of reference-counted fixed-size pages (see paging.go):
-// pages may be shared with checkpoints or with other segments cloned
-// from the same image template, and every write path copy-on-writes a
-// shared page before mutating it. A per-segment dirty bitmap records
-// which pages have been written since the last DirtyTracker reset.
+// is a table of fixed-size pages (see paging.go): pages, and the table
+// itself, may be shared with checkpoints or with other segments cloned
+// from the same image template. A per-segment owned bitmap marks the
+// pages this segment may write in place, and is nil while the table is
+// shared; every write path copy-on-writes any other page before
+// mutating it. A per-segment dirty bitmap records which pages have been
+// written since the last DirtyTracker reset.
 type Segment struct {
 	Kind SegKind
 	Base Addr
@@ -110,6 +112,7 @@ type Segment struct {
 
 	size   uint64
 	pages  []*page
+	owned  []uint64 // owned-page bitmap, one bit per page; nil while pages is shared
 	dirty  []uint64 // dirty-page bitmap, one bit per page
 	ndirty int      // population count of dirty
 }
@@ -142,6 +145,10 @@ func (s *Segment) containsRange(addr Addr, n uint64) bool {
 type Memory struct {
 	segs   []*Segment // sorted by Base
 	guards []*GuardRegion
+	// last is the segment seg resolved most recently: consecutive
+	// accesses mostly land in one segment, so seg tries it before the
+	// binary search.
+	last *Segment
 	// writeLog, when non-nil, receives a record for every successful write.
 	writeLog func(WriteRecord)
 	// hook, when non-nil, observes (and may alter) every checked access.
@@ -198,11 +205,13 @@ func (m *Memory) Map(kind SegKind, base Addr, n uint64, perm Perm) (*Segment, er
 				kind, uint64(base), uint64(end), s.Kind, uint64(s.Base), uint64(s.End()))
 		}
 	}
+	pages, owned := newPages(n)
 	seg := &Segment{
 		Kind: kind, Base: base, Perm: perm,
 		size:  n,
-		pages: newPages(n),
-		dirty: make([]uint64, (pagesFor(n)+63)/64),
+		pages: pages,
+		owned: owned,
+		dirty: make([]uint64, bitmapWords(len(pages))),
 	}
 	m.segs = append(m.segs, seg)
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
@@ -250,12 +259,20 @@ func (m *Memory) FindSegment(addr Addr) *Segment {
 	return nil
 }
 
-// seg returns the segment covering [addr, addr+n) or a fault.
+// seg returns the segment covering [addr, addr+n) or a fault. The
+// cached segment answers only when it contains addr itself, as
+// FindSegment requires: containsRange alone admits the empty range at
+// a segment's end, which must fault unless another segment starts
+// there.
 func (m *Memory) seg(addr Addr, n uint64) (*Segment, *Fault) {
+	if s := m.last; s != nil && s.Contains(addr) && s.containsRange(addr, n) {
+		return s, nil
+	}
 	s := m.FindSegment(addr)
 	if s == nil || !s.containsRange(addr, n) {
 		return nil, &Fault{Kind: FaultUnmapped, Addr: addr, Size: n}
 	}
+	m.last = s
 	return s, nil
 }
 
@@ -402,10 +419,29 @@ func (m *Memory) Memset(addr Addr, v byte, n uint64) error {
 // --- Fixed-width scalar accessors (little-endian, as on the paper's i386
 // testbed). -------------------------------------------------------------
 
+// loadScalar is the scalar readers' load: it returns the len(dst) bytes
+// at addr. With no observer and no hook armed, a readable range that
+// lies in one page is returned as a view of that page, with nothing
+// copied. Every other access, and every fault, goes through load into
+// dst, so values, faults and what an armed observer or hook sees are
+// exactly load's.
+func (m *Memory) loadScalar(addr Addr, dst []byte) ([]byte, error) {
+	n := uint64(len(dst))
+	if m.obs == nil && m.hook == nil {
+		if s, f := m.seg(addr, n); f == nil && s.Perm&PermRead != 0 {
+			off := uint64(addr.Diff(s.Base))
+			if po := off & (PageSize - 1); po+n <= PageSize {
+				return s.pages[off>>PageShift][po : po+n], nil
+			}
+		}
+	}
+	return m.load(addr, n, dst)
+}
+
 // ReadU8 reads one byte.
 func (m *Memory) ReadU8(addr Addr) (uint8, error) {
 	var buf [1]byte
-	b, err := m.load(addr, 1, buf[:])
+	b, err := m.loadScalar(addr, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -418,7 +454,7 @@ func (m *Memory) WriteU8(addr Addr, v uint8) error { return m.Write(addr, []byte
 // ReadU16 reads a little-endian uint16.
 func (m *Memory) ReadU16(addr Addr) (uint16, error) {
 	var buf [2]byte
-	b, err := m.load(addr, 2, buf[:])
+	b, err := m.loadScalar(addr, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -433,7 +469,7 @@ func (m *Memory) WriteU16(addr Addr, v uint16) error {
 // ReadU32 reads a little-endian uint32.
 func (m *Memory) ReadU32(addr Addr) (uint32, error) {
 	var buf [4]byte
-	b, err := m.load(addr, 4, buf[:])
+	b, err := m.loadScalar(addr, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -448,7 +484,7 @@ func (m *Memory) WriteU32(addr Addr, v uint32) error {
 // ReadU64 reads a little-endian uint64.
 func (m *Memory) ReadU64(addr Addr) (uint64, error) {
 	var buf [8]byte
-	b, err := m.load(addr, 8, buf[:])
+	b, err := m.loadScalar(addr, buf[:])
 	if err != nil {
 		return 0, err
 	}

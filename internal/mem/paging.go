@@ -1,14 +1,13 @@
 package mem
 
-import "sync/atomic"
-
 // The address space is organised in fixed-size pages so that snapshots,
 // rollback, and image cloning can work at page granularity instead of
 // whole-address-space granularity. 4 KiB matches the paper's i386
 // testbed page size; it is also the sweet spot measured in
 // docs/perf.md — small enough that a sparse chaos trial dirties only a
 // handful of pages, large enough that the per-page bookkeeping (one
-// pointer + one dirty bit) stays negligible against segment sizes.
+// pointer, one dirty bit, one owned bit) stays negligible against
+// segment sizes.
 const (
 	// PageShift is log2(PageSize).
 	PageShift = 12
@@ -17,75 +16,61 @@ const (
 	PageSize = 1 << PageShift
 )
 
-// page is one reference-counted page of segment backing store. Pages are
-// shared between a live Segment and any number of Checkpoints (and,
-// through the ImagePool, between many live Segments cloned from the same
-// template). The invariant that makes sharing safe:
+// page is one page of segment backing store. Pages, and whole page
+// tables, are shared between a live Segment, its Checkpoints and, through
+// the ImagePool, every Segment cloned from one template. Sharing is
+// tracked by the holder: a Segment's owned bitmap marks the pages it may
+// write in place, and is nil while its page table is shared. The
+// invariant that makes sharing safe:
 //
-//	a page with refs > 1 is immutable — every write path calls
-//	ownPage first, which copies a shared page before mutating it
-//	(copy-on-write).
+//	a page is written in place only by the one segment that owns it,
+//	and no page a checkpoint or clone can reach has an owner.
 //
-// The reference count is atomic because checkpoints cross goroutines:
-// two processes cloned from one template may copy-on-write (and thus
-// release) the same shared page concurrently. Everything else about a
-// Memory remains single-threaded, as documented on the type.
-//
-// The count is 64-bit because a clone that is garbage collected never
-// gives its references back: every template page a clone leaves
-// unwritten keeps one more reference per clone for as long as the pool
-// serves. A 32-bit count wraps negative after 2³¹ clones, shared()
-// turns false, and the next clone to write the page writes into the
-// template.
-type page struct {
-	refs atomic.Int64
-	data [PageSize]byte
-}
-
-// newPage returns a fresh zeroed page owned by exactly one holder.
-func newPage() *page {
-	p := &page{}
-	p.refs.Store(1)
-	return p
-}
-
-// get acquires an additional reference and returns p.
-func (p *page) get() *page {
-	p.refs.Add(1)
-	return p
-}
-
-// put releases one reference. Pages are garbage collected; a count of
-// zero simply means no segment or checkpoint holds the page any more.
-func (p *page) put() { p.refs.Add(-1) }
-
-// shared reports whether any other holder references the page, in which
-// case it must not be written in place.
-func (p *page) shared() bool { return p.refs.Load() > 1 }
+// Every write path calls ownPage, which copies a shared table and an
+// unowned page before mutating them. A page never regains an owner, so
+// whatever a checkpoint holds stays immutable, and clones on different
+// goroutines copy the same template page without writing a shared word.
+type page [PageSize]byte
 
 // pagesFor returns the number of pages backing n bytes.
 func pagesFor(n uint64) int { return int((n + PageSize - 1) >> PageShift) }
 
-// newPages allocates n bytes of fresh zeroed backing pages.
-func newPages(n uint64) []*page {
-	ps := make([]*page, pagesFor(n))
-	for i := range ps {
-		ps[i] = newPage()
+// bitmapWords returns the number of uint64 words in a one-bit-per-page
+// bitmap over n pages.
+func bitmapWords(n int) int { return (n + 63) / 64 }
+
+// newPages allocates n bytes of fresh zeroed backing pages, returned
+// with an owned bitmap marking every one of them owned by the caller.
+// The pages come from one allocation: 4096-byte objects fill an 8 KiB
+// span two at a time, so allocating them one by one costs a span
+// refill every other page.
+func newPages(n uint64) (ps []*page, owned []uint64) {
+	block := make([]page, pagesFor(n))
+	ps = make([]*page, len(block))
+	owned = make([]uint64, bitmapWords(len(block)))
+	for i := range block {
+		ps[i] = &block[i]
+		owned[i>>6] |= 1 << (uint(i) & 63)
 	}
-	return ps
+	return ps, owned
 }
 
-// ownPage returns page i of the segment, copying it first if it is
-// shared with a checkpoint or another segment — the copy-on-write step.
+// ownPage returns page i of the segment, copying it first unless the
+// segment owns it — the copy-on-write step. A shared page table is
+// copied before its first entry is replaced. The page copy is made by
+// append, which fills a fresh allocation straight from the source
+// instead of zeroing it first.
 func (s *Segment) ownPage(i int) *page {
-	p := s.pages[i]
-	if !p.shared() {
-		return p
+	w, b := i>>6, uint64(1)<<(uint(i)&63)
+	if s.owned == nil {
+		s.pages = append([]*page(nil), s.pages...)
+		s.owned = make([]uint64, bitmapWords(len(s.pages)))
+	} else if s.owned[w]&b != 0 {
+		return s.pages[i]
 	}
-	np := newPage()
-	np.data = p.data
-	p.put()
+	np := (*page)(append([]byte(nil), s.pages[i][:]...))
 	s.pages[i] = np
+	s.owned[w] |= b
 	return np
 }
 
@@ -101,7 +86,7 @@ func (s *Segment) markDirtyRange(first, last int) {
 }
 
 // writeRaw copies b into the segment at byte offset off, copy-on-writing
-// shared pages and feeding the dirty tracker. Zero-length writes touch
+// unowned pages and feeding the dirty tracker. Zero-length writes touch
 // nothing and dirty nothing. Bounds are the caller's responsibility
 // (every caller has already resolved the segment via seg()).
 func (s *Segment) writeRaw(off uint64, b []byte) {
@@ -117,7 +102,7 @@ func (s *Segment) writeRaw(off uint64, b []byte) {
 			n = uint64(len(b))
 		}
 		pg := s.ownPage(pi)
-		copy(pg.data[po:po+n], b[:n])
+		copy(pg[po:po+n], b[:n])
 		off += n
 		b = b[n:]
 	}
@@ -147,7 +132,7 @@ func (s *Segment) readRaw(off uint64, dst []byte) {
 		if uint64(len(dst)) < n {
 			n = uint64(len(dst))
 		}
-		copy(dst[:n], s.pages[pi].data[po:po+n])
+		copy(dst[:n], s.pages[pi][po:po+n])
 		off += n
 		dst = dst[n:]
 	}

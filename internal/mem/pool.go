@@ -5,11 +5,12 @@ import "sync"
 // ImagePool is a pool of prewarmed process-image templates. The first
 // request for a given ImageConfig builds the canonical image once and
 // registers its pristine COW checkpoint as the template; every later
-// request clones from the template in O(pages) pointer operations —
-// no segment allocation, no zeroing, no byte copies. Clones never share
-// mutable state: all sharing is through reference-counted immutable
-// pages, and a clone's first write to any page copies it (see
-// paging.go), so concurrent clones are isolated by construction.
+// request clones from the template in O(pages) pointer copies — no
+// page allocation, no zeroing, no byte copies. Clones never share
+// mutable state: every shared page is unowned and therefore immutable,
+// and a clone's first write to any page copies it (see paging.go), so
+// concurrent clones are isolated by construction without touching a
+// shared word.
 //
 // The pool is safe for concurrent use; it is the serving layer's
 // cache-miss fast path (internal/service wires one pool per Service and
