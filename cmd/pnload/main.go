@@ -1,13 +1,5 @@
-// Command pnload drives the serving tier's two load gates that still
-// run as processes.
-//
-// Tenant-soak mode:
-//
-//	pnload -tenants [-seed 42] [-soak-duration 10s]
-//	       [-tenant-out BENCH_TENANT.json]
-//	       [-min-fair-share 0.8] [-max-starvation 0]
-//
-// Cluster-sweep mode:
+// Command pnload drives the serving tier's cluster sweep, the one load
+// gate that still runs as a process:
 //
 //	pnload -cluster [-nodes 1,2,4,8] [-requests 192]
 //	       [-cluster-keys 48] [-cluster-repeat 8]
@@ -29,15 +21,6 @@
 // failed for a non-shedding reason; shed requests (structured 429s
 // and 503s) are the server working as designed and are reported, not
 // failed.
-//
-// -tenants runs the adversarial multi-tenant admission-control soak
-// (greedy, bursty, and well-behaved tenants against per-tenant quotas,
-// round-robin fair queueing with priority aging, and circuit breakers) as
-// a deterministic discrete-event simulation — no server, no -url; the
-// same seed always produces byte-identical BENCH_TENANT.json. Exit
-// status is non-zero when the well-behaved tenant's completed fraction
-// falls below -min-fair-share, when the starvation ratio exceeds
-// -max-starvation, or when the greedy tenant was never rate-limited.
 //
 // -retries N retries shed requests (429/503) up to N times per
 // request, honoring the server's Retry-After (and millisecond
@@ -268,89 +251,20 @@ func run(args []string, out io.Writer) error {
 	clusterConc := fs.Int("cluster-concurrency", 16, "cluster mode: fixed client concurrency")
 	ringSeed := fs.Uint64("ring-seed", 1, "cluster mode: consistent-hash placement seed for in-process fleets")
 	minScaling := fs.Float64("min-scaling", -1, "cluster mode: fail unless miss-phase throughput scales by this factor from the smallest to the largest node count (negative = no check)")
-	tenants := fs.Bool("tenants", false, "run the deterministic multi-tenant admission soak (no -url needed)")
-	seed := fs.Int64("seed", 42, "tenant-soak PRNG seed; equal seeds produce byte-identical reports")
-	soakDuration := fs.Duration("soak-duration", 10*time.Second, "simulated tenant-soak duration")
-	tenantOut := fs.String("tenant-out", "BENCH_TENANT.json", "tenant-soak artifact path ('-' = stdout only)")
-	minFairShare := fs.Float64("min-fair-share", 0.8, "fail unless the well-behaved tenant completes at least this fraction of its offered load")
-	maxStarvation := fs.Float64("max-starvation", 0, "fail when the low-priority starvation ratio exceeds this")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tenants {
-		return runTenantSoak(out, *seed, *soakDuration, *tenantOut, *minFairShare, *maxStarvation)
+	if !*clusterMode {
+		return fmt.Errorf("want -cluster")
 	}
-	if *clusterMode {
-		nodes, err := parseLevels(*nodesFlag)
-		if err != nil {
-			return fmt.Errorf("-nodes: %w", err)
-		}
-		return runClusterSweep(out, clusterOpts{
-			url: *base, nodes: nodes, keys: *clusterKeys, repeatBase: *clusterRepeat,
-			requests: *requests, concurrency: *clusterConc, ringSeed: *ringSeed,
-			retries: *retries, maxSleep: *retryMaxSleep,
-			minScaling: *minScaling, outFile: *clusterOut,
-		}, *timeout)
-	}
-	return fmt.Errorf("want -tenants or -cluster")
-}
-
-// runTenantSoak executes the deterministic three-tenant adversarial
-// soak in-process (no server: the simulation drives the exact same
-// admission components pnserve uses) and enforces the fairness gates
-// the issue specifies. Equal seeds produce byte-identical artifacts,
-// which is what lets CI diff two runs with cmp.
-func runTenantSoak(out io.Writer, seed int64, duration time.Duration, outFile string, minFairShare, maxStarvation float64) error {
-	cfg := service.DefaultSoakConfig(seed)
-	if duration > 0 {
-		cfg.Duration = duration
-	}
-	rep := service.RunTenantSoak(cfg)
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
+	nodes, err := parseLevels(*nodesFlag)
 	if err != nil {
-		return err
+		return fmt.Errorf("-nodes: %w", err)
 	}
-	blob = append(blob, '\n')
-	if outFile != "-" {
-		if err := os.WriteFile(outFile, blob, 0o644); err != nil {
-			return err
-		}
-	} else {
-		out.Write(blob)
-	}
-
-	for _, ts := range rep.Tenants {
-		shed := 0
-		for _, n := range ts.Shed {
-			shed += n
-		}
-		fmt.Fprintf(out, "tenant=%-12s offered=%-5d completed=%-5d shed=%-5d fair_share=%.3f goodput=%.1frps p99=%.2fms\n",
-			ts.Name, ts.Offered, ts.Completed, shed, ts.FairShare, ts.GoodputRPS, ts.P99MS)
-	}
-	fmt.Fprintf(out, "aged_promotions=%d starvation_ratio=%.3f breaker_opens=%d\n",
-		rep.AgedPromotions, rep.StarvationRatio, rep.BreakerOpens)
-	if outFile != "-" {
-		fmt.Fprintf(out, "wrote %s\n", outFile)
-	}
-
-	well, err := rep.TenantByName("wellbehaved")
-	if err != nil {
-		return err
-	}
-	if well.FairShare < minFairShare {
-		return fmt.Errorf("well-behaved fair share %.4f below required %.4f", well.FairShare, minFairShare)
-	}
-	if rep.StarvationRatio > maxStarvation {
-		return fmt.Errorf("starvation ratio %.4f exceeds allowed %.4f (%d of %d low-priority requests starved)",
-			rep.StarvationRatio, maxStarvation, rep.LowStarved, rep.LowAdmitted)
-	}
-	greedy, err := rep.TenantByName("greedy")
-	if err != nil {
-		return err
-	}
-	if greedy.Shed[service.ReasonQuota] == 0 {
-		return fmt.Errorf("greedy tenant was never rate-limited; quotas are not biting")
-	}
-	return nil
+	return runClusterSweep(out, clusterOpts{
+		url: *base, nodes: nodes, keys: *clusterKeys, repeatBase: *clusterRepeat,
+		requests: *requests, concurrency: *clusterConc, ringSeed: *ringSeed,
+		retries: *retries, maxSleep: *retryMaxSleep,
+		minScaling: *minScaling, outFile: *clusterOut,
+	}, *timeout)
 }

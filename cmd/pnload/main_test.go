@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,62 +127,5 @@ func TestShed503CountedNotFailed(t *testing.T) {
 		if s := issue(ts.Client(), ts.URL+"/run?scenario=stack-ret", "", 0, time.Second); s.ok || !s.shed {
 			t.Fatalf("request %d = %+v, want shed, not failed", i, s)
 		}
-	}
-}
-
-// TestTenantSoakMode: -tenants needs no -url, writes a byte-deterministic
-// BENCH_TENANT.json, and passes the default fairness gates.
-func TestTenantSoakMode(t *testing.T) {
-	dir := t.TempDir()
-	runOnce := func(path string) {
-		t.Helper()
-		var stdout strings.Builder
-		if err := run([]string{
-			"-tenants", "-seed", "42", "-soak-duration", "2s", "-tenant-out", path,
-		}, &stdout); err != nil {
-			t.Fatalf("tenant soak: %v (stdout: %s)", err, stdout.String())
-		}
-		if !strings.Contains(stdout.String(), "tenant=wellbehaved") {
-			t.Fatalf("stdout missing per-tenant summary: %s", stdout.String())
-		}
-	}
-	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
-	runOnce(a)
-	runOnce(b)
-
-	blobA, err := os.ReadFile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobB, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(blobA) != string(blobB) {
-		t.Fatal("same seed produced different BENCH_TENANT.json bytes")
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(blobA, &rep); err != nil {
-		t.Fatalf("BENCH_TENANT.json invalid: %v", err)
-	}
-	if rep["schema_version"] != "pnserve-tenant/v1" {
-		t.Fatalf("schema_version = %v, want pnserve-tenant/v1", rep["schema_version"])
-	}
-}
-
-// TestTenantSoakGateFails: an unattainable fair-share requirement makes
-// the soak exit non-zero — the CI gate has teeth.
-func TestTenantSoakGateFails(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_TENANT.json")
-	var stdout strings.Builder
-	err := run([]string{
-		"-tenants", "-seed", "42", "-soak-duration", "1s", "-tenant-out", path,
-		"-min-fair-share", "1.01",
-	}, &stdout)
-	if err == nil || !strings.Contains(err.Error(), "fair share") {
-		t.Fatalf("err = %v, want fair-share gate failure", err)
-	}
-	if _, statErr := os.Stat(path); statErr != nil {
-		t.Fatal("artifact must be written even when the gate fails")
 	}
 }

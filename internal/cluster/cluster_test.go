@@ -122,6 +122,10 @@ func TestRouterForwardsAndCaches(t *testing.T) {
 	}
 }
 
+// TestRouterSingleflightCollapsesSameKey: concurrent same-key requests
+// through the router execute once fleet-wide. The router forwards each
+// one to the key's owner, whose cache singleflight runs the one miss;
+// the others wait on that flight (coalesced) or read its result (hit).
 func TestRouterSingleflightCollapsesSameKey(t *testing.T) {
 	f := testFleet(t, 2)
 
@@ -154,14 +158,78 @@ func TestRouterSingleflightCollapsesSameKey(t *testing.T) {
 	}
 }
 
-// TestRouterBodiesFramedLikeWorkers: a coalesced follower's body is its
-// leader's with only the cache token changed, and an error the router
-// answers itself is the body a worker gives for the same error.
+// TestCoalescedFollowerKeepsItsTrace: same-key requests that collapse
+// into one execution each answer under their own client trace ID, in
+// the body and the header, and /trace/{id} serves every one of them.
+func TestCoalescedFollowerKeepsItsTrace(t *testing.T) {
+	f := testFleet(t, 2)
+
+	const n = 8
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range ids {
+		ids[i] = fmt.Sprintf("t-follower-%d", i)
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			hreq, err := http.NewRequest(http.MethodPost, f.URL()+"/run",
+				strings.NewReader(`{"scenario":"dos-exhaust","repeat":8}`))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			hreq.Header.Set(serve.TraceHeader, id)
+			resp, err := http.DefaultClient.Do(hreq)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var out map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Errorf("%s: invalid JSON: %v", id, err)
+				return
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: run = %d %v", id, resp.StatusCode, out)
+				return
+			}
+			if out["trace_id"] != id || resp.Header.Get(serve.TraceHeader) != id {
+				t.Errorf("%s: answered as trace_id %v, %s %q (cache %v)",
+					id, out["trace_id"], serve.TraceHeader, resp.Header.Get(serve.TraceHeader), out["cache"])
+			}
+		}(ids[i])
+	}
+	wg.Wait()
+
+	for _, id := range ids {
+		resp, err := http.Get(f.URL() + "/trace/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr service.RequestTrace
+		err = json.NewDecoder(resp.Body).Decode(&tr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || tr.TraceID != id {
+			t.Errorf("GET /trace/%s = %d (decode %v, trace %q), want 200 with its own trace",
+				id, resp.StatusCode, err, tr.TraceID)
+		}
+	}
+}
+
+// TestRouterBodiesFramedLikeWorkers: an error the router answers itself
+// is the body a worker gives for the same error, on /run and for each
+// kind of malformed /runbatch.
 func TestRouterBodiesFramedLikeWorkers(t *testing.T) {
 	f := testFleet(t, 1)
-	post := func(base, body string) (int, []byte) {
+	send := func(method, url, body string) (int, []byte) {
 		t.Helper()
-		resp, err := http.Post(base+"/run", "application/json", strings.NewReader(body))
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,24 +241,19 @@ func TestRouterBodiesFramedLikeWorkers(t *testing.T) {
 		return resp.StatusCode, b
 	}
 
-	code, leader := post(f.WorkerURL(0), `{"scenario":"vptr-stack","defense":"stackguard"}`)
-	if code != http.StatusOK {
-		t.Fatalf("worker /run = %d: %s", code, leader)
-	}
-	follower := followerCopy(&rflight{status: code, body: leader}).body
-	want := bytes.Replace(leader, []byte(`"cache": "miss"`), []byte(`"cache": "coalesced"`), 1)
-	if bytes.Equal(want, leader) {
-		t.Fatalf("leader body has no miss token:\n%s", leader)
-	}
-	if !bytes.Equal(follower, want) {
-		t.Fatalf("follower body:\n%q\nwant the leader's with cache coalesced:\n%q", follower, want)
-	}
-
-	const bad = `{"scenario":"no-such-attack"}`
-	wcode, wbody := post(f.WorkerURL(0), bad)
-	rcode, rbody := post(f.URL(), bad)
-	if wcode != http.StatusBadRequest || rcode != wcode || !bytes.Equal(rbody, wbody) {
-		t.Fatalf("router %d %q, worker %d %q: want one 400 body", rcode, rbody, wcode, wbody)
+	items := strings.TrimSuffix(strings.Repeat(`{"experiment":"E1"},`, service.MaxBatchSize+1), ",")
+	for _, c := range []struct{ name, method, path, body string }{
+		{"unknown scenario", http.MethodPost, "/run", `{"scenario":"no-such-attack"}`},
+		{"batch by GET", http.MethodGet, "/runbatch", ""},
+		{"batch unknown field", http.MethodPost, "/runbatch", `{"requests":[{"experiment":"E1"}],"extra":1}`},
+		{"empty batch", http.MethodPost, "/runbatch", `{"requests":[]}`},
+		{"oversized batch", http.MethodPost, "/runbatch", `{"requests":[` + items + `]}`},
+	} {
+		wcode, wbody := send(c.method, f.WorkerURL(0)+c.path, c.body)
+		rcode, rbody := send(c.method, f.URL()+c.path, c.body)
+		if wcode != http.StatusBadRequest || rcode != wcode || !bytes.Equal(rbody, wbody) {
+			t.Errorf("%s: router %d %q, worker %d %q: want one 400 body", c.name, rcode, rbody, wcode, wbody)
+		}
 	}
 }
 

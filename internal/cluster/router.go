@@ -55,18 +55,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// rflight is one in-flight forward other same-key requests join: the
-// router-level singleflight. Combined with each worker's own cache
-// singleflight and the fill-from clone path, an admitted key is
-// computed at most once fleet-wide.
-type rflight struct {
-	done   chan struct{}
-	status int
-	header http.Header
-	body   []byte
-	err    error
-}
-
 // traceEntry records where a trace executed and what the hop cost, for
 // the /trace/{id} graft.
 type traceEntry struct {
@@ -78,9 +66,9 @@ type traceEntry struct {
 
 // Router is the sharded serving tier's front end: it owns admission
 // (tenant quotas), routes every request to the ring owner of its
-// content-addressed cache key, retries around dead or draining workers
-// after a ring rebalance, and collapses concurrent same-key requests
-// into one forward.
+// content-addressed cache key, and retries around dead or draining
+// workers after a ring rebalance. Concurrent same-key requests all
+// reach that owner, whose cache runs one execution for them.
 type Router struct {
 	cfg    RouterConfig
 	mem    *Membership
@@ -90,9 +78,6 @@ type Router struct {
 
 	draining atomic.Bool
 	started  time.Time
-
-	fmu     sync.Mutex
-	flights map[string]*rflight
 
 	tmu        sync.Mutex
 	traceIndex map[string]*traceEntry
@@ -111,7 +96,6 @@ func NewRouter(cfg RouterConfig) *Router {
 		client:  &http.Client{Timeout: cfg.ForwardTimeout},
 		quotas:  service.NewTenantQuotas(service.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst}, time.Now),
 		started: time.Now(),
-		flights: make(map[string]*rflight),
 
 		traceIndex: make(map[string]*traceEntry),
 	}
@@ -132,7 +116,6 @@ func describeRouterMetrics(reg *obs.Registry) {
 	reg.Describe(obs.MetricClusterForwardLatency, "forward round-trip in milliseconds",
 		obs.TypeHistogram, 0.25, 1, 2, 5, 10, 25, 50, 100, 250, 1000, 5000)
 	reg.Describe(obs.MetricClusterRebalances, "ring rebalances, by reason", obs.TypeCounter)
-	reg.Describe(obs.MetricClusterCoalesced, "same-key requests that joined an in-flight forward", obs.TypeCounter)
 	reg.Describe(obs.MetricClusterShed, "requests shed at the router, by reason", obs.TypeCounter)
 	reg.Describe(obs.MetricBuildInfo, "build identity: constant 1 with version labels", obs.TypeGauge)
 }
@@ -208,8 +191,9 @@ func (rt *Router) shed(reason string, tenant string, lane string, retryAfter tim
 
 // routeRun is the single-request pipeline both /run and /runbatch
 // items go through: validate and key the request at the edge, admit it
-// (quota — the only quota in the fleet), then either join an in-flight
-// forward for the same key or lead one to the ring owner.
+// (quota — the only quota in the fleet), then forward it to the ring
+// owner. Same-key requests are collapsed there, by the owner's cache,
+// not here, so each answer keeps its own trace.
 func (rt *Router) routeRun(ctx context.Context, req service.Request, tenant, clientTrace string) *routed {
 	key, err := service.Key(req)
 	if err != nil {
@@ -224,61 +208,7 @@ func (rt *Router) routeRun(ctx context.Context, req service.Request, tenant, cli
 	if ok, wait := rt.quotas.TryTake(tenant); !ok {
 		return rt.shed(service.ReasonQuota, tenant, lane, wait)
 	}
-	if req.NoCache {
-		// Bypass requests always execute; collapsing them would change
-		// semantics, so they skip the singleflight.
-		return rt.forwardRun(ctx, req, key, tenant, clientTrace)
-	}
-	return rt.singleflightRun(ctx, req, key, tenant, clientTrace)
-}
-
-// singleflightRun collapses concurrent same-key forwards: the first
-// request leads; followers wait and re-label the leader's answer as
-// "coalesced". Workers dedupe too (cache singleflight), but collapsing
-// at the router also saves the duplicate hops.
-func (rt *Router) singleflightRun(ctx context.Context, req service.Request, key, tenant, clientTrace string) *routed {
-	rt.fmu.Lock()
-	if f, ok := rt.flights[key]; ok {
-		rt.fmu.Unlock()
-		rt.reg.Inc(obs.MetricClusterCoalesced)
-		select {
-		case <-f.done:
-			return followerCopy(f)
-		case <-ctx.Done():
-			return routedError(499, ctx.Err().Error(), nil)
-		}
-	}
-	f := &rflight{done: make(chan struct{})}
-	rt.flights[key] = f
-	rt.fmu.Unlock()
-
-	out := rt.forwardRun(ctx, req, key, tenant, clientTrace)
-	f.status, f.header, f.body = out.status, out.header, out.body
-
-	rt.fmu.Lock()
-	delete(rt.flights, key)
-	rt.fmu.Unlock()
-	close(f.done)
-	return out
-}
-
-// followerCopy re-labels a finished flight for a joining request: a
-// 200's cache token becomes "coalesced" (the follower's work was
-// collapsed into the leader's forward); errors pass through as-is.
-func followerCopy(f *rflight) *routed {
-	out := &routed{status: f.status, header: f.header, body: f.body}
-	if f.status != http.StatusOK {
-		return out
-	}
-	var env serve.RunResponse
-	if err := json.Unmarshal(f.body, &env); err != nil {
-		return out
-	}
-	env.Cache = service.CacheCoalesced
-	if b, err := serve.EncodeJSON(env); err == nil {
-		out.body = b
-	}
-	return out
+	return rt.forwardRun(ctx, req, key, tenant, clientTrace)
 }
 
 // forwardRun sends one admitted request to the ring owner of its key,
@@ -433,10 +363,9 @@ func writeRouted(w http.ResponseWriter, out *routed) {
 }
 
 // handleRunBatch fans a batch out item-by-item: every item is admitted
-// and routed independently (its own key, owner, singleflight), then
-// the answers reassemble in request order — the batch contract
-// (per-item status, one bad item never fails its siblings) holds
-// across the fleet.
+// and routed independently (its own key and owner), then the answers
+// reassemble in request order — the batch contract (per-item status,
+// one bad item never fails its siblings) holds across the fleet.
 func (rt *Router) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
 		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{
@@ -446,27 +375,9 @@ func (rt *Router) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if r.Method != http.MethodPost {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{
-			Error: fmt.Sprintf("method %s not allowed on /runbatch (POST a JSON body)", r.Method),
-			Code:  http.StatusBadRequest})
-		return
-	}
-	var breq serve.BatchRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "invalid JSON body: " + err.Error(), Code: http.StatusBadRequest})
-		return
-	}
-	if len(breq.Requests) == 0 {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "empty batch", Code: http.StatusBadRequest})
-		return
-	}
-	if len(breq.Requests) > service.MaxBatchSize {
-		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{
-			Error: fmt.Sprintf("batch of %d exceeds limit %d", len(breq.Requests), service.MaxBatchSize),
-			Code:  http.StatusBadRequest})
+	breq, err := serve.ParseBatch(r)
+	if err != nil {
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error(), Code: http.StatusBadRequest})
 		return
 	}
 

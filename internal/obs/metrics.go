@@ -87,7 +87,6 @@ const (
 	MetricClusterForwardRetries = "pn_cluster_forward_retries_total"
 	MetricClusterForwardLatency = "pn_cluster_forward_latency_ms"
 	MetricClusterRebalances     = "pn_cluster_rebalances_total"
-	MetricClusterCoalesced      = "pn_cluster_coalesced_total"
 	MetricClusterShed           = "pn_cluster_shed_total"
 )
 

@@ -140,29 +140,9 @@ func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusServiceUnavailable, drainingResponse(r))
 		return
 	}
-	if r.Method != http.MethodPost {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
-			Error: fmt.Sprintf("method %s not allowed on /runbatch (POST a JSON body)", r.Method),
-			Code:  http.StatusBadRequest,
-		})
-		return
-	}
-	var breq BatchRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid JSON body: " + err.Error(), Code: http.StatusBadRequest})
-		return
-	}
-	if len(breq.Requests) == 0 {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "empty batch", Code: http.StatusBadRequest})
-		return
-	}
-	if len(breq.Requests) > service.MaxBatchSize {
-		WriteJSON(w, http.StatusBadRequest, ErrorResponse{
-			Error: fmt.Sprintf("batch of %d exceeds limit %d", len(breq.Requests), service.MaxBatchSize),
-			Code:  http.StatusBadRequest,
-		})
+	breq, err := ParseBatch(r)
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: http.StatusBadRequest})
 		return
 	}
 
@@ -188,6 +168,29 @@ func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.ServeNS = time.Since(start).Nanoseconds()
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// ParseBatch reads a POST /runbatch body: a JSON BatchRequest of 1 to
+// service.MaxBatchSize requests in at most 8 MiB, with no unknown
+// fields. The error text is the 400 body's message, so a router and a
+// worker reject one malformed batch with the same body.
+func ParseBatch(r *http.Request) (BatchRequest, error) {
+	var breq BatchRequest
+	if r.Method != http.MethodPost {
+		return breq, fmt.Errorf("method %s not allowed on /runbatch (POST a JSON body)", r.Method)
+	}
+	dec := json.NewDecoder(io.LimitReader(r.Body, 8<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&breq); err != nil {
+		return breq, fmt.Errorf("invalid JSON body: %w", err)
+	}
+	if len(breq.Requests) == 0 {
+		return breq, errors.New("empty batch")
+	}
+	if len(breq.Requests) > service.MaxBatchSize {
+		return breq, fmt.Errorf("batch of %d exceeds limit %d", len(breq.Requests), service.MaxBatchSize)
+	}
+	return breq, nil
 }
 
 // ErrorStatus maps a service error to its status code (and structured

@@ -7,8 +7,8 @@
 // bytes, so the safe path is the fast path; and supervised execution
 // (internal/resilience) turns a panicking scenario into one degraded
 // request instead of a dead process. cmd/pnserve exposes the service
-// over HTTP; cmd/pnload runs its multi-tenant admission soak
-// (RunTenantSoak) and the cluster sweep.
+// over HTTP; RunTenantSoak replays its admission sequence as a
+// deterministic multi-tenant soak, which the TestSoak* tests gate.
 package service
 
 import (

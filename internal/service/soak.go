@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// SoakSchemaVersion versions the BENCH_TENANT.json shape.
+// SoakSchemaVersion versions the SoakReport JSON shape.
 const SoakSchemaVersion = "pnserve-tenant/v1"
 
 // TenantSpec describes one simulated tenant's offered load.
@@ -82,8 +82,8 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	return c
 }
 
-// DefaultSoakConfig is the adversarial three-tenant scenario the CI
-// gate runs: a greedy tenant hammering the high lane far past its
+// DefaultSoakConfig is the adversarial three-tenant scenario
+// TestSoakFairnessGates runs: a greedy tenant hammering the high lane far past its
 // quota, a bursty tenant leaning on its burst allowance, and a
 // well-behaved tenant offering a modest mixed-priority load that must
 // keep flowing regardless.
@@ -126,7 +126,7 @@ type TenantStats struct {
 	P99MS     float64 `json:"p99_ms"`
 }
 
-// SoakReport is the BENCH_TENANT.json payload.
+// SoakReport is one soak's outcome; TestSoakGolden pins its JSON.
 type SoakReport struct {
 	SchemaVersion string        `json:"schema_version"`
 	Seed          int64         `json:"seed"`
@@ -140,8 +140,8 @@ type SoakReport struct {
 	// AgedPromotions counts queue entries served via priority aging.
 	AgedPromotions uint64 `json:"aged_promotions"`
 	// StarvationRatio is, over admitted low-lane requests, the fraction
-	// that waited past the starvation budget (or were never served). The
-	// CI gate requires exactly 0.
+	// that waited past the starvation budget (or were never served).
+	// TestSoakFairnessGates requires exactly 0.
 	StarvationRatio float64 `json:"starvation_ratio"`
 	LowAdmitted     int     `json:"low_admitted"`
 	LowStarved      int     `json:"low_starved"`

@@ -14,7 +14,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestSoakGolden pins the default soak's report byte for byte at two
-// seeds, as pnload -tenants writes it. Regenerate with
+// seeds, indented JSON with a trailing newline. Regenerate with
 // go test ./internal/service -run TestSoakGolden -update
 func TestSoakGolden(t *testing.T) {
 	for _, seed := range []int64{42, 7} {
@@ -41,8 +41,8 @@ func TestSoakGolden(t *testing.T) {
 	}
 }
 
-// TestSoakByteDeterministic: equal seeds produce byte-equal reports —
-// the property the CI gate relies on to diff two runs.
+// TestSoakByteDeterministic: equal seeds produce byte-equal reports,
+// and different seeds different ones.
 func TestSoakByteDeterministic(t *testing.T) {
 	a, err := json.MarshalIndent(RunTenantSoak(DefaultSoakConfig(42)), "", "  ")
 	if err != nil {
