@@ -21,9 +21,9 @@
 //
 //	POST /run          JSON service.Request body
 //	POST /runbatch     {"requests":[...]} — up to 64 service.Request
-//	                   objects admitted in one call, executed
-//	                   concurrently with one shared template-pool
-//	                   lookup; per-item status codes in the response
+//	                   objects admitted in one call and executed
+//	                   concurrently; per-item status codes in the
+//	                   response
 //	GET  /run          the same request as query parameters, e.g.
 //	                   /run?experiment=E8
 //	                   /run?scenario=bss-overflow&defense=stackguard&model=LP64
@@ -87,9 +87,13 @@
 //	pnserve -worker [-advertise http://host:port] [-join http://router]
 //	        [...the same serving flags]
 //	pnserve -router -workers=http://w1:8099,http://w2:8099
-//	        [-ring-seed 1] [-vnodes 64] [-heartbeat 500ms]
-//	        [-fail-threshold 2] [-forward-timeout 30s]
-//	        [-forward-retries 2] [-tenant-rate 200] [-tenant-burst 400]
+//	        [-heartbeat 500ms] [-forward-retries 2]
+//	        [-tenant-rate 200] [-tenant-burst 400]
+//
+// The router's ring is fixed at seed 1 and 64 virtual nodes per worker,
+// so every router places the same workers the same way; a worker leaves
+// it after 2 consecutive missed probes, and a forward times out after
+// 30s.
 package main
 
 import (
@@ -144,11 +148,7 @@ func run(args []string, out io.Writer) error {
 	worker := fs.Bool("worker", false, "run as a fleet worker: trust router hop headers, optionally -join the router")
 	advertise := fs.String("advertise", "", "worker: the base URL to join the ring as (default http://127.0.0.1{addr})")
 	join := fs.String("join", "", "worker: router base URL to push heartbeats to")
-	ringSeed := fs.Uint64("ring-seed", 1, "router: consistent-hash placement seed (same seed => same placement)")
-	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "router: virtual nodes per worker on the ring")
 	heartbeat := fs.Duration("heartbeat", 500*time.Millisecond, "router: membership probe interval; worker: push-heartbeat interval")
-	failThreshold := fs.Int("fail-threshold", 2, "router: consecutive missed probes that eject a worker")
-	forwardTimeout := fs.Duration("forward-timeout", 30*time.Second, "router: per-forward timeout")
 	forwardRetries := fs.Int("forward-retries", 2, "router: extra forward attempts after a failed or draining worker")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -160,10 +160,8 @@ func run(args []string, out io.Writer) error {
 	if *router {
 		return runRouter(routerArgs{
 			addr: *addr, workers: *workers, drainTimeout: *drainTimeout,
-			seed: *ringSeed, vnodes: *vnodes, heartbeat: *heartbeat,
-			failThreshold: *failThreshold, forwardTimeout: *forwardTimeout,
-			forwardRetries: *forwardRetries,
-			tenantRate:     *tenantRate, tenantBurst: *tenantBurst,
+			heartbeat: *heartbeat, forwardRetries: *forwardRetries,
+			tenantRate: *tenantRate, tenantBurst: *tenantBurst,
 		}, out)
 	}
 
@@ -254,11 +252,7 @@ type routerArgs struct {
 	addr           string
 	workers        string
 	drainTimeout   time.Duration
-	seed           uint64
-	vnodes         int
 	heartbeat      time.Duration
-	failThreshold  int
-	forwardTimeout time.Duration
 	forwardRetries int
 	tenantRate     float64
 	tenantBurst    float64
@@ -275,10 +269,9 @@ func runRouter(a routerArgs, out io.Writer) error {
 		}
 	}
 	rt := cluster.NewRouter(cluster.RouterConfig{
-		Workers: backends, Seed: a.seed, VNodes: a.vnodes,
-		HeartbeatInterval: a.heartbeat, FailThreshold: a.failThreshold,
-		ForwardTimeout: a.forwardTimeout, ForwardRetries: a.forwardRetries,
-		TenantRate: a.tenantRate, TenantBurst: a.tenantBurst,
+		Workers: backends, HeartbeatInterval: a.heartbeat,
+		ForwardRetries: a.forwardRetries,
+		TenantRate:     a.tenantRate, TenantBurst: a.tenantBurst,
 	})
 	rt.StartHeartbeat()
 	defer rt.Close()
@@ -288,8 +281,7 @@ func runRouter(a routerArgs, out io.Writer) error {
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Fprintf(out, "pnserve: router listening on %s (%d workers, seed %d, %d vnodes)\n",
-			a.addr, len(backends), a.seed, a.vnodes)
+		fmt.Fprintf(out, "pnserve: router listening on %s (%d workers)\n", a.addr, len(backends))
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

@@ -25,7 +25,7 @@ func testFleet(t *testing.T, n int) *Fleet {
 	f := NewFleet(n, serve.Config{
 		Workers: 4, Queue: 32, CacheSize: 64,
 		Deadline: 10 * time.Second, MaxDeadline: 30 * time.Second,
-	}, RouterConfig{Seed: 1})
+	}, RouterConfig{})
 	t.Cleanup(f.Close)
 	return f
 }
@@ -437,14 +437,15 @@ func TestJoinEndpointAdmitsNewWorker(t *testing.T) {
 	if err := json.NewDecoder(mresp.Body).Decode(&members); err != nil {
 		t.Fatal(err)
 	}
-	if len(members.Ring.Nodes) != 3 || len(members.Members) != 3 {
-		t.Fatalf("members body = %+v", members)
+	if len(members.Ring.Nodes) != 3 || len(members.Members) != 3 ||
+		members.Ring.Seed != 1 || members.Ring.VNodes != 64 {
+		t.Fatalf("members body = %+v, want 3 nodes on a seed-1, 64-vnode ring", members)
 	}
 }
 
 func TestRouterAdmissionQuota(t *testing.T) {
 	f := NewFleet(1, serve.Config{Workers: 2, Queue: 8, CacheSize: 16},
-		RouterConfig{Seed: 1, TenantRate: 0.001, TenantBurst: 2})
+		RouterConfig{TenantRate: 0.001, TenantBurst: 2})
 	t.Cleanup(f.Close)
 
 	codes := map[int]int{}
@@ -605,6 +606,35 @@ func TestRunBatchRoutesPerItem(t *testing.T) {
 	}
 	if out.Results[0].Code != http.StatusOK || out.Results[2].Code != http.StatusOK {
 		t.Fatalf("good items = %d/%d", out.Results[0].Code, out.Results[2].Code)
+	}
+}
+
+// TestRunBatchItemsGetTheirOwnTraces: a batch's X-PN-Trace-Id names the
+// batch, not any one item, so the router forwards each item without it
+// and no worker stores a trace under the batch's ID.
+func TestRunBatchItemsGetTheirOwnTraces(t *testing.T) {
+	f := testFleet(t, 3)
+
+	body := `{"requests":[{"experiment":"E1"},{"scenario":"stack-ret"},{"scenario":"bss-overflow"},{"scenario":"stack-ret","repeat":3}]}`
+	req, err := http.NewRequest(http.MethodPost, f.URL()+"/runbatch", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(serve.TraceHeader, "t-batch")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out serve.BatchResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || out.OK != 4 {
+		t.Fatalf("runbatch = %d (decode %v), ok %d of 4", resp.StatusCode, err, out.OK)
+	}
+	for i := 0; i < f.Size(); i++ {
+		if tr, ok := f.Worker(i).Service().Trace("t-batch"); ok {
+			t.Errorf("worker %d stores trace t-batch, for item %s", i, tr.ID)
+		}
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 )
 
 // Fleet is an in-process cluster: n real serve.Server workers behind
-// real HTTP listeners and one Router in front. Tests and the pnload
-// -cluster sweep use it to exercise the exact production handlers —
-// ring routing, hop headers, cross-node fill, drain migration —
-// without spawning processes; the CI smoke job runs the same topology
-// as separate processes.
+// real HTTP listeners and one Router in front. The package tests and
+// BenchmarkFleetMissPhaseScaling use it to exercise the exact
+// production handlers — ring routing, hop headers, cross-node fill,
+// drain migration — without spawning processes; the CI smoke job runs
+// the same topology as separate processes.
 type Fleet struct {
 	workers    []*serve.Server
 	workerSrvs []*httptest.Server

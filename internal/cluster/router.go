@@ -22,15 +22,8 @@ type RouterConfig struct {
 	// Workers are the initial backend base URLs; more can join via
 	// POST /cluster/join.
 	Workers []string
-	// Seed and VNodes parameterize the ring.
-	Seed   uint64
-	VNodes int
-	// HeartbeatInterval is the membership probe period (default 500ms);
-	// FailThreshold the consecutive misses that eject (default 2).
+	// HeartbeatInterval is the membership probe period (default 500ms).
 	HeartbeatInterval time.Duration
-	FailThreshold     int
-	// ForwardTimeout bounds one forwarded request (default 30s).
-	ForwardTimeout time.Duration
 	// ForwardRetries is how many extra attempts a failed forward gets
 	// after re-resolving the ring (default 2) — the kill-a-worker path:
 	// attempt, eject, re-route to the successor.
@@ -42,13 +35,19 @@ type RouterConfig struct {
 	TenantBurst float64
 }
 
-// traceIndexCap bounds the trace-to-worker index behind /trace/{id}.
-const traceIndexCap = 512
+const (
+	// ringSeed is the router ring's placement seed: every router places
+	// the same workers the same way. The ring has DefaultVNodes virtual
+	// nodes per worker, and a worker leaves it after the membership
+	// default of 2 consecutive missed probes.
+	ringSeed uint64 = 1
+	// forwardTimeout bounds one forwarded request.
+	forwardTimeout = 30 * time.Second
+	// traceIndexCap bounds the trace-to-worker index behind /trace/{id}.
+	traceIndexCap = 512
+)
 
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 30 * time.Second
-	}
 	if c.ForwardRetries <= 0 {
 		c.ForwardRetries = 2
 	}
@@ -93,17 +92,16 @@ func NewRouter(cfg RouterConfig) *Router {
 	r := &Router{
 		cfg:     cfg,
 		reg:     reg,
-		client:  &http.Client{Timeout: cfg.ForwardTimeout},
+		client:  &http.Client{Timeout: forwardTimeout},
 		quotas:  service.NewTenantQuotas(service.QuotaConfig{Rate: cfg.TenantRate, Burst: cfg.TenantBurst}, time.Now),
 		started: time.Now(),
 
 		traceIndex: make(map[string]*traceEntry),
 	}
 	r.mem = NewMembership(MembershipConfig{
-		Seed: cfg.Seed, VNodes: cfg.VNodes,
-		FailThreshold: cfg.FailThreshold,
-		Interval:      cfg.HeartbeatInterval,
-		Registry:      reg,
+		Seed:     ringSeed,
+		Interval: cfg.HeartbeatInterval,
+		Registry: reg,
 	}, cfg.Workers)
 	return r
 }
@@ -365,7 +363,10 @@ func writeRouted(w http.ResponseWriter, out *routed) {
 // handleRunBatch fans a batch out item-by-item: every item is admitted
 // and routed independently (its own key and owner), then the answers
 // reassemble in request order — the batch contract (per-item status,
-// one bad item never fails its siblings) holds across the fleet.
+// one bad item never fails its siblings) holds across the fleet. A
+// client trace ID names the batch, not any one item, so items forward
+// without one and each worker mints its own, as a worker's /runbatch
+// does.
 func (rt *Router) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
 		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{
@@ -382,7 +383,6 @@ func (rt *Router) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tenant := r.Header.Get(serve.TenantHeader)
-	clientTrace := r.Header.Get(serve.TraceHeader)
 	start := time.Now()
 	items := make([]serve.BatchItem, len(breq.Requests))
 	var wg sync.WaitGroup
@@ -390,7 +390,7 @@ func (rt *Router) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out := rt.routeRun(r.Context(), breq.Requests[i], tenant, clientTrace)
+			out := rt.routeRun(r.Context(), breq.Requests[i], tenant, "")
 			items[i] = toBatchItem(out)
 		}(i)
 	}
@@ -472,11 +472,8 @@ func (rt *Router) handleMembers(w http.ResponseWriter, r *http.Request) {
 	var resp membersResponse
 	resp.Members = rt.mem.Members()
 	ring := rt.mem.Ring()
-	resp.Ring.Seed = rt.cfg.Seed
-	resp.Ring.VNodes = rt.cfg.VNodes
-	if resp.Ring.VNodes <= 0 {
-		resp.Ring.VNodes = DefaultVNodes
-	}
+	resp.Ring.Seed = ringSeed
+	resp.Ring.VNodes = DefaultVNodes
 	resp.Ring.Nodes = ring.Nodes()
 	serve.WriteJSON(w, http.StatusOK, resp)
 }

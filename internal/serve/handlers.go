@@ -133,8 +133,8 @@ type BatchResponse struct {
 
 // handleRunBatch admits up to service.MaxBatchSize requests in one
 // call. Items execute concurrently through the normal per-request path
-// (lanes, deadlines, cache, shedding per item) while sharing one
-// template-pool lookup; see docs/serving.md for the schema.
+// (lanes, deadlines, cache, shedding per item); see docs/serving.md for
+// the schema.
 func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		WriteJSON(w, http.StatusServiceUnavailable, drainingResponse(r))
@@ -222,8 +222,8 @@ func (s *Server) WriteError(w http.ResponseWriter, err error) {
 	resp := ErrorResponse{Error: err.Error(), Code: code, Reject: rej}
 	if rej != nil {
 		// Standard Retry-After is whole seconds (rounded up); the
-		// millisecond-precision hint rides alongside for clients (pnload)
-		// that can use it.
+		// millisecond-precision hint rides alongside for clients that can
+		// use it.
 		w.Header().Set("Retry-After", strconv.FormatInt((rej.RetryAfterMS+999)/1000, 10))
 		w.Header().Set("X-PN-Retry-After-MS", strconv.FormatInt(rej.RetryAfterMS, 10))
 	}

@@ -3,8 +3,8 @@
 // /healthz, /readyz, /metrics, /watch, /trace/{id}, /cache/{key}) as a
 // reusable library. cmd/pnserve wraps it in a process; internal/cluster
 // embeds it to run a fleet of in-process workers behind the
-// consistent-hash router, so cluster tests and the pnload cluster
-// sweep exercise the exact handlers production traffic hits.
+// consistent-hash router, so the cluster tests and its scaling
+// benchmark exercise the exact handlers production traffic hits.
 package serve
 
 import (

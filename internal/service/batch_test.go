@@ -34,11 +34,11 @@ func TestHandleBatchOrderAndIsolation(t *testing.T) {
 		t.Fatalf("outcome 3 = %+v, want same content key as outcome 1", out[3])
 	}
 
-	// The batch prewarmed the scenario's image configuration, so the
-	// pool served its construction as a hit.
+	// New prewarmed every image configuration a scenario constructs, so
+	// the pool served the scenario's construction as a hit.
 	st := s.Pool().Stats()
 	if st.Misses != 0 {
-		t.Fatalf("pool stats = %+v, want 0 misses (batch prewarms)", st)
+		t.Fatalf("pool stats = %+v, want 0 misses (New prewarms)", st)
 	}
 	if st.Hits == 0 {
 		t.Fatalf("pool stats = %+v, want the scenario construction to hit a template", st)

@@ -19,8 +19,8 @@ func badRequestf(format string, args ...any) *BadRequest {
 	return &BadRequest{Reason: fmt.Sprintf(format, args...)}
 }
 
-// Rejection reasons: the machine-readable enum clients (and pnload)
-// use to distinguish shed causes.
+// Rejection reasons: the machine-readable enum clients use to
+// distinguish shed causes.
 const (
 	// ReasonQuota: the tenant's token bucket is empty (429).
 	ReasonQuota = "quota"

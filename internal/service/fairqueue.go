@@ -139,14 +139,6 @@ func (fq *fairQueue) pop() *fqEntry {
 	}
 }
 
-// tryPop is the non-blocking variant (the deterministic soak drives
-// the queue synchronously with it).
-func (fq *fairQueue) tryPop() *fqEntry {
-	fq.mu.Lock()
-	defer fq.mu.Unlock()
-	return fq.tryPopLocked()
-}
-
 func (fq *fairQueue) tryPopLocked() *fqEntry {
 	if fq.total == 0 {
 		return nil

@@ -6,6 +6,14 @@ import (
 	"time"
 )
 
+// tryPop is pop without the wait: the tests and the deterministic soak
+// drive the queue synchronously with it.
+func (fq *fairQueue) tryPop() *fqEntry {
+	fq.mu.Lock()
+	defer fq.mu.Unlock()
+	return fq.tryPopLocked()
+}
+
 func fqTask(id string) *task {
 	return &task{ctx: context.Background(), adm: Admit{ID: id}, done: make(chan taskResult, 1)}
 }

@@ -92,9 +92,9 @@ type Request struct {
 	Priority string `json:"priority,omitempty"`
 	// Repeat executes the deterministic run this many times (1..256)
 	// and reports the aggregate compute cost — a per-request measurement
-	// loop, like a pnbench cell served over HTTP. The cluster sweep uses
-	// it to give each request a tunable execution weight. Part of the
-	// cache key when > 1.
+	// loop, like a pnbench cell served over HTTP. The cluster scaling
+	// benchmark and CI's kill step use it to give each request a
+	// tunable execution weight. Part of the cache key when > 1.
 	Repeat int `json:"repeat,omitempty"`
 	// NoCache forces execution; the fresh result still replaces the
 	// cached one.

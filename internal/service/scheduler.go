@@ -97,9 +97,6 @@ type task struct {
 	done     chan taskResult
 	admitted time.Time
 	probe    bool // admitted as its breaker's half-open probe
-	// soak carries the simulated job when the deterministic tenant soak
-	// drives the fair queue directly (nil on the live path).
-	soak *soakJob
 }
 
 type taskResult struct {

@@ -7,8 +7,8 @@
 // bytes, so the safe path is the fast path; and supervised execution
 // (internal/resilience) turns a panicking scenario into one degraded
 // request instead of a dead process. cmd/pnserve exposes the service
-// over HTTP; RunTenantSoak replays its admission sequence as a
-// deterministic multi-tenant soak, which the TestSoak* tests gate.
+// over HTTP; the TestSoak* tests replay its admission sequence as a
+// deterministic multi-tenant soak (soak_test.go).
 package service
 
 import (
@@ -528,7 +528,6 @@ func (s *Service) runScenario(n *request, rt *RequestTrace, execStart time.Time)
 func (s *Service) runCompiled(n *request, rt *RequestTrace, execStart time.Time) (*attack.Outcome, bool) {
 	cfg := n.defCfg
 	cfg.Pool = s.pool
-	cfg.Compiled = true
 	sp, err := s.programs.Get(n.scenario, cfg)
 	if err != nil {
 		return nil, false

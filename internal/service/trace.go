@@ -102,8 +102,8 @@ func newRequestTrace(id, tenant, kind, workID string, now func() time.Time, bus 
 	return rt
 }
 
-// Ref returns the trace ID, or "" for a nil trace (the scheduler's
-// soak path).
+// Ref returns the trace ID, or "" for a nil trace (an admission made
+// without one).
 func (rt *RequestTrace) Ref() string {
 	if rt == nil {
 		return ""
